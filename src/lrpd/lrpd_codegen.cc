@@ -79,9 +79,9 @@ lrpdInstrument(const IterProgram &in, IterProgram &out, IterNum iter,
         if (it == per_array.end())
             continue;
         if (op.kind == OpKind::Store)
-            markWriteOps(out, it->second, op.index);
+            markWriteOps(out, it->second, op.index());
         else if (op.kind == OpKind::Load)
-            markReadOps(out, it->second, op.index);
+            markReadOps(out, it->second, op.index());
     }
     // End-of-iteration Atw accumulation (register arithmetic).
     out.push_back(opBusy(2));

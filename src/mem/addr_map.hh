@@ -14,6 +14,7 @@
 #define SPECRT_MEM_ADDR_MAP_HH
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
@@ -106,6 +107,29 @@ class AddrMap
     /** Write a word straight to the backing store. */
     void write(Addr addr, uint32_t size, uint64_t value);
 
+    /**
+     * Bulk input initialisation: give elements [0, @p n) of @p r the
+     * values value(0), value(1), ... in that order, with the bytes
+     * write() would store. The region is resolved once, not per
+     * element.
+     */
+    template <typename F>
+    void
+    fillElems(const Region &r, uint64_t n, F &&value)
+    {
+        uint8_t *p = backingPtr(r.base,
+                                static_cast<uint32_t>(n * r.elemBytes));
+        switch (r.elemBytes) {
+          case 4: fillAs<4>(p, n, value); break;
+          case 8: fillAs<8>(p, n, value); break;
+          default:
+            for (uint64_t e = 0; e < n; ++e) {
+                uint64_t v = value(e);
+                std::memcpy(p + e * r.elemBytes, &v, r.elemBytes);
+            }
+        }
+    }
+
     /** Copy a whole line out of the backing store. */
     void readLine(Addr line_addr, uint8_t *out, uint32_t bytes) const;
 
@@ -123,6 +147,16 @@ class AddrMap
     int numProcs() const { return _numProcs; }
 
   private:
+    template <uint32_t W, typename F>
+    static void
+    fillAs(uint8_t *p, uint64_t n, F &value)
+    {
+        for (uint64_t e = 0; e < n; ++e) {
+            uint64_t v = value(e);
+            std::memcpy(p + e * W, &v, W);
+        }
+    }
+
     /** Locate the backing byte for @p addr; panics if unmapped. */
     uint8_t *backingPtr(Addr addr, uint32_t span);
     const uint8_t *backingPtr(Addr addr, uint32_t span) const;

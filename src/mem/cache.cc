@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -35,10 +36,12 @@ NodeCache::NodeCache(const MachineConfig &config)
                   "cache line counts not powers of two");
     _l2Mask = l2Lines - 1;
     _l1Mask = l1Lines - 1;
-    // Line data stays empty until fill(): invalid lines are never
-    // read, and skipping the zero-fill makes machine construction
-    // (hundreds of caches per campaign) cheap.
-    l2.resize(l2Lines);
+    // Only the tags are initialised: a slot's data is written by
+    // fill() before anything can read it, so the data block skips the
+    // zero-fill (most of a run's slots are never touched).
+    tags.resize(l2Lines);
+    data = std::make_unique_for_overwrite<uint8_t[]>(l2Lines *
+                                                     _lineBytes);
     l1Tags.assign(l1Lines, invalidAddr);
 }
 
@@ -62,24 +65,31 @@ NodeCache::l1Evict(Addr a)
 }
 
 bool
-NodeCache::fill(Addr line_addr, LineState state, const uint8_t *data,
-                CacheLine *victim)
+NodeCache::fill(Addr line_addr, LineState state, const uint8_t *bytes,
+                EvictedLine *victim)
 {
     SPECRT_ASSERT(line_addr == lineAlign(line_addr),
                   "fill with unaligned addr");
-    CacheLine &slot = l2Slot(line_addr);
+    uint64_t idx = l2Index(line_addr);
+    LineTag &slot = tags[idx];
+    uint8_t *line = lineData(slot);
 
     bool displaced = false;
     if (slot.valid() && slot.addr != line_addr) {
-        if (victim)
-            *victim = slot;   // copies data out
+        if (victim) {
+            victim->addr = slot.addr;
+            victim->state = slot.state;
+            victim->data.assign(line, _lineBytes);
+        }
         l1Evict(slot.addr);   // inclusion
         displaced = true;
     }
 
+    if (slot.addr == invalidAddr)
+        filled.push_back(static_cast<uint32_t>(idx));
     slot.addr = line_addr;
     slot.state = state;
-    slot.data.assign(data, _lineBytes);
+    std::memcpy(line, bytes, _lineBytes);
     l1Fill(line_addr);
     return displaced;
 }
@@ -87,21 +97,29 @@ NodeCache::fill(Addr line_addr, LineState state, const uint8_t *data,
 void
 NodeCache::invalidate(Addr a)
 {
-    CacheLine *line = findLine(a);
+    LineTag *line = findLine(a);
     if (line)
         line->state = LineState::Invalid;
     l1Evict(a);
 }
 
 void
-NodeCache::flushAll(std::vector<CacheLine> *victims)
+NodeCache::flushAll(std::vector<EvictedLine> *victims)
 {
-    for (CacheLine &line : l2) {
-        if (line.state == LineState::Dirty && victims)
-            victims->push_back(line);
-        line.state = LineState::Invalid;
-        line.addr = invalidAddr;
+    // Only listed slots can hold a line; visiting them in slot order
+    // returns the victims a full scan would, in the same order.
+    std::sort(filled.begin(), filled.end());
+    for (uint32_t idx : filled) {
+        LineTag &slot = tags[idx];
+        if (slot.state == LineState::Dirty && victims) {
+            EvictedLine &v = victims->emplace_back();
+            v.addr = slot.addr;
+            v.state = slot.state;
+            v.data.assign(lineData(slot), _lineBytes);
+        }
+        slot = LineTag{};
     }
+    filled.clear();
     for (Addr &tag : l1Tags)
         tag = invalidAddr;
 }
@@ -109,7 +127,7 @@ NodeCache::flushAll(std::vector<CacheLine> *victims)
 uint64_t
 NodeCache::readWord(Addr a, uint32_t size) const
 {
-    const CacheLine *line = findLine(a);
+    const LineTag *line = findLine(a);
     SPECRT_ASSERT(line, "readWord on absent line %#llx",
                   (unsigned long long)a);
     return readWordIn(*line, a, size);
@@ -118,10 +136,10 @@ NodeCache::readWord(Addr a, uint32_t size) const
 void
 NodeCache::writeWord(Addr a, uint32_t size, uint64_t value)
 {
-    CacheLine *line = findLine(a);
+    LineTag *line = findLine(a);
     SPECRT_ASSERT(line, "writeWord on absent line %#llx",
                   (unsigned long long)a);
-    std::memcpy(line->data.data() + (a - line->addr), &value, size);
+    writeWordIn(*line, a, size, value);
 }
 
 } // namespace specrt

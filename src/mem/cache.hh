@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "sim/config.hh"
@@ -33,23 +34,35 @@ enum class LineState : uint8_t
 
 const char *lineStateName(LineState s);
 
-/**
- * One L2 line: coherence state + real data bytes. The data payload
- * lives inline for the default 64-byte lines (a machine builds tens
- * of thousands of lines per run; per-line heap vectors dominated
- * construction cost).
- */
-struct CacheLine
+/** Tag of one L2 slot: the line it holds and the line's state. */
+struct LineTag
 {
     Addr addr = invalidAddr;      ///< line-aligned address
     LineState state = LineState::Invalid;
-    SmallVec<uint8_t, 64> data;
 
     bool valid() const { return state != LineState::Invalid; }
 };
 
 /**
+ * A line copied out of the cache with its data: a conflict victim of
+ * fill() or a dirty line collected by flushAll().
+ */
+struct EvictedLine
+{
+    Addr addr = invalidAddr;
+    LineState state = LineState::Invalid;
+    SmallVec<uint8_t, 64> data;
+};
+
+/**
  * The two-level cache structure of one node.
+ *
+ * L2 storage is split: a compact tag array (16 bytes per slot, the
+ * only part lookups touch) and one contiguous data block holding slot
+ * s's bytes at s * lineBytes. The data block is allocated without
+ * zero-fill -- an invalid slot's data is never read -- and the slots
+ * filled since the last flush are listed, so flushAll() works in the
+ * number of lines a run touched, not in the cache size.
  */
 class NodeCache
 {
@@ -57,7 +70,7 @@ class NodeCache
     NodeCache(const MachineConfig &config);
 
     uint32_t lineBytes() const { return _lineBytes; }
-    uint64_t numL2Lines() const { return l2.size(); }
+    uint64_t numL2Lines() const { return tags.size(); }
 
     Addr lineAlign(Addr a) const { return a & ~Addr(_lineBytes - 1); }
 
@@ -72,26 +85,34 @@ class NodeCache
     /** L1 set index for an address. */
     uint64_t l1Index(Addr a) const { return (a >> _lineShift) & _l1Mask; }
 
-    /** The L2 line currently occupying the set of @p a (any tag). */
-    CacheLine &l2Slot(Addr a) { return l2[l2Index(a)]; }
-    const CacheLine &l2Slot(Addr a) const { return l2[l2Index(a)]; }
-
-    /** The L2 line holding @p a, or nullptr if not present.
+    /** Tag of the L2 line holding @p a, or nullptr if not present.
      *  Header-inline: this is the single hottest memory-system call
      *  (once per load/store/invalidate/fill). */
-    CacheLine *
+    LineTag *
     findLine(Addr a)
     {
-        CacheLine &slot = l2Slot(a);
+        LineTag &slot = tags[l2Index(a)];
         return (slot.valid() && slot.addr == lineAlign(a)) ? &slot
                                                            : nullptr;
     }
-    const CacheLine *
+    const LineTag *
     findLine(Addr a) const
     {
-        const CacheLine &slot = l2Slot(a);
+        const LineTag &slot = tags[l2Index(a)];
         return (slot.valid() && slot.addr == lineAlign(a)) ? &slot
                                                            : nullptr;
+    }
+
+    /** Data bytes of the slot whose tag is @p t (lineBytes() long). */
+    uint8_t *
+    lineData(const LineTag &t)
+    {
+        return data.get() + ((&t - tags.data()) << _lineShift);
+    }
+    const uint8_t *
+    lineData(const LineTag &t) const
+    {
+        return data.get() + ((&t - tags.data()) << _lineShift);
     }
 
     /** True if @p a hits in the L1 filter (implies L2 presence). */
@@ -116,23 +137,36 @@ class NodeCache
 
     /**
      * Install a line in L2 (and L1). The previous occupant of the
-     * set, if valid and of a different tag, is returned through
-     * @p victim (state is copied out before being overwritten).
+     * set, if valid and of a different tag, is copied out to
+     * @p victim before being overwritten.
      *
      * @return true if a valid victim (different line) was displaced.
      */
-    bool fill(Addr line_addr, LineState state, const uint8_t *data,
-              CacheLine *victim);
+    bool fill(Addr line_addr, LineState state, const uint8_t *bytes,
+              EvictedLine *victim);
 
     /** Drop @p a from both levels (invalidation). No writeback. */
     void invalidate(Addr a);
 
-    /** Invalidate everything (the paper flushes caches between runs).
-     *  Dirty lines are appended to @p victims for writeback. */
-    void flushAll(std::vector<CacheLine> *victims);
+    /**
+     * Invalidate everything (the paper flushes caches between runs).
+     * Dirty lines are appended to @p victims, in ascending slot
+     * order, for writeback. Touches only the slots filled since the
+     * last flush.
+     */
+    void flushAll(std::vector<EvictedLine> *victims);
 
-    /** Every L2 slot, valid or not (invariant checker iteration). */
-    const std::vector<CacheLine> &l2Lines() const { return l2; }
+    /** Visit every valid L2 line as (tag, data), in slot order
+     *  (invariant checking). */
+    template <typename F>
+    void
+    forEachLine(F &&f) const
+    {
+        for (const LineTag &t : tags) {
+            if (t.valid())
+                f(t, lineData(t));
+        }
+    }
 
     /** Read a word out of a present line. */
     uint64_t readWord(Addr a, uint32_t size) const;
@@ -141,19 +175,20 @@ class NodeCache
     void writeWord(Addr a, uint32_t size, uint64_t value);
 
     /** Read a word out of an already-resolved line. */
-    static uint64_t
-    readWordIn(const CacheLine &line, Addr a, uint32_t size)
+    uint64_t
+    readWordIn(const LineTag &line, Addr a, uint32_t size) const
     {
         uint64_t value = 0;
-        std::memcpy(&value, line.data.data() + (a - line.addr), size);
+        std::memcpy(&value, lineData(line) + (a - line.addr), size);
         return value;
     }
 
     /** Write a word into an already-resolved line. */
-    static void
-    writeWordIn(CacheLine &line, Addr a, uint32_t size, uint64_t value)
+    void
+    writeWordIn(const LineTag &line, Addr a, uint32_t size,
+                uint64_t value)
     {
-        std::memcpy(line.data.data() + (a - line.addr), &value, size);
+        std::memcpy(lineData(line) + (a - line.addr), &value, size);
     }
 
   private:
@@ -161,7 +196,12 @@ class NodeCache
     uint32_t _lineShift;
     uint64_t _l2Mask;
     uint64_t _l1Mask;
-    std::vector<CacheLine> l2;
+    std::vector<LineTag> tags;
+    /** Slot s's bytes live at data[s << _lineShift]. */
+    std::unique_ptr<uint8_t[]> data;
+    /** Slots filled since the last flushAll() (each listed once: a
+     *  slot is listed when its tag address leaves invalidAddr). */
+    std::vector<uint32_t> filled;
     /** L1 filter: line-aligned address or invalidAddr, per set. */
     std::vector<Addr> l1Tags;
 };

@@ -77,7 +77,7 @@ CacheCtrl::load(Addr addr, uint32_t size, IterNum iter, LoadDone done)
     // One L2 lookup serves both hit levels (findLine dominates the
     // hit path otherwise: l1Hit, the spec probe, and readWord each
     // redid it).
-    if (const CacheLine *cl = cache.findLine(addr)) {
+    if (const LineTag *cl = cache.findLine(addr)) {
         bool inL1 = cache.l1TagHit(addr);
         if (inL1) {
             ++l1Hits;
@@ -87,7 +87,7 @@ CacheCtrl::load(Addr addr, uint32_t size, IterNum iter, LoadDone done)
         }
         if (spec)
             spec->onLoadHit(addr, cl->state, iter);
-        uint64_t value = NodeCache::readWordIn(*cl, addr, size);
+        uint64_t value = cache.readWordIn(*cl, addr, size);
         Cycles lat = inL1 ? cfg.lat.l1Hit
                           : cfg.lat.l1Hit + cfg.lat.l2Access;
         eq.scheduleIn(lat, [done = std::move(done), value]() mutable {
@@ -167,10 +167,10 @@ CacheCtrl::drainHead()
     if (loadTxn && loadTxn->line == line)
         return; // re-poked when the load completes
 
-    CacheLine *cl = cache.findLine(head.addr);
+    LineTag *cl = cache.findLine(head.addr);
     if (cl && cl->state == LineState::Dirty) {
         ++storeHits;
-        NodeCache::writeWordIn(*cl, head.addr, head.size, head.value);
+        cache.writeWordIn(*cl, head.addr, head.size, head.value);
         cache.l1Fill(head.addr);
         if (spec)
             spec->onStoreDirtyHit(head.addr, head.iter);
@@ -314,7 +314,7 @@ CacheCtrl::handle(const Msg &msg)
 void
 CacheCtrl::fillLine(const Msg &reply, LineState state, bool is_write)
 {
-    CacheLine victim;
+    EvictedLine victim;
     bool displaced =
         cache.fill(reply.lineAddr, state, reply.data.data(), &victim);
     if (displaced) {
@@ -338,7 +338,7 @@ CacheCtrl::fillLine(const Msg &reply, LineState state, bool is_write)
 }
 
 void
-CacheCtrl::evictDirty(const CacheLine &victim)
+CacheCtrl::evictDirty(const EvictedLine &victim)
 {
     ++writebacks;
     if (trace::enabled())
@@ -472,7 +472,7 @@ CacheCtrl::onInval(const Msg &msg)
     if (loadTxn && loadTxn->line == msg.lineAddr)
         loadTxn->invalPending = true;
 
-    const CacheLine *cl = cache.findLine(msg.lineAddr);
+    const LineTag *cl = cache.findLine(msg.lineAddr);
     if (lenient && cl && cl->state == LineState::Dirty) {
         // A stale duplicate Inval: the directory never invalidates an
         // owner, so this Inval predates our ownership. Ack it without
@@ -500,7 +500,7 @@ CacheCtrl::onInval(const Msg &msg)
 void
 CacheCtrl::onFwd(const Msg &msg)
 {
-    const CacheLine *cl = cache.findLine(msg.lineAddr);
+    const LineTag *cl = cache.findLine(msg.lineAddr);
     bool have_dirty = cl && cl->state == LineState::Dirty;
     bool in_wb_buf = wbBuf.count(msg.lineAddr) > 0;
 
@@ -524,7 +524,7 @@ CacheCtrl::onFwd(const Msg &msg)
 void
 CacheCtrl::serveFwd(const Msg &msg)
 {
-    CacheLine *cl = cache.findLine(msg.lineAddr);
+    LineTag *cl = cache.findLine(msg.lineAddr);
     bool read = msg.type == MsgType::ReadFwd;
 
     MsgData data;
@@ -532,7 +532,7 @@ CacheCtrl::serveFwd(const Msg &msg)
     bool retains = false;
 
     if (cl && cl->state == LineState::Dirty) {
-        data.assign(cl->data);
+        data.assign(cache.lineData(*cl), cache.lineBytes());
         if (spec)
             bits = spec->combineBits(msg.lineAddr,
                                      spec->onDirtyOut(msg.lineAddr),
@@ -646,10 +646,10 @@ CacheCtrl::reset(bool commit_dirty)
     SPECRT_ASSERT(!commit_dirty || quiescent(),
                   "committing reset of non-quiescent cache ctrl at "
                   "node %d", node);
-    std::vector<CacheLine> victims;
+    std::vector<EvictedLine> victims;
     cache.flushAll(&victims);
     if (commit_dirty) {
-        for (const CacheLine &v : victims)
+        for (const EvictedLine &v : victims)
             mem.writeLine(v.addr, v.data.data(),
                           static_cast<uint32_t>(v.data.size()));
         // Writeback-buffer data is also committed: an entry can

@@ -189,7 +189,7 @@ class CacheCtrl : public StatGroup
      */
     void fillLine(const Msg &reply, LineState state, bool is_write);
 
-    void evictDirty(const CacheLine &victim);
+    void evictDirty(const EvictedLine &victim);
 
     void unblockLoads(Addr line);
     void maybeFireDrainNotice();

@@ -496,7 +496,6 @@ DirCtrl::finishTxn(Addr line)
 void
 DirCtrl::reset()
 {
-    SPECRT_ASSERT(active.empty() || true, "reset");
     active.clear();
     waiting.clear();
     waitingSince.clear();

@@ -3,8 +3,8 @@
  * Full-map directory state for the lines homed at one node.
  *
  * Entries are materialized lazily: a line never referenced behaves as
- * Uncached. Up to 64 nodes are supported (one presence bit each),
- * which comfortably covers the paper's 16-processor machine.
+ * Uncached. Up to maxProcs (64) nodes are supported (one presence bit
+ * each), which comfortably covers the paper's 16-processor machine.
  *
  * Storage is a dense array indexed by line id (addr >> log2(line)),
  * mirroring the flat SRAM tables of the modeled hardware: entries
@@ -19,12 +19,12 @@
 #ifndef SPECRT_MEM_DIRECTORY_HH
 #define SPECRT_MEM_DIRECTORY_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/config.hh"
 #include "sim/types.hh"
 
 namespace specrt
@@ -40,15 +40,17 @@ enum class DirState : uint8_t
 
 const char *dirStateName(DirState s);
 
+static_assert(maxProcs <= 64, "presence bits are one uint64_t");
+
 /** Directory entry for one line. */
 struct DirEntry
 {
     DirState state = DirState::Uncached;
     /**
      * Entry has been referenced since the last clear(). Bookkeeping
-     * for Directory (numEntries / forEach), kept inside the entry so
-     * the hot entry() lookup touches a single cache line instead of
-     * a separate presence array.
+     * for Directory (numEntries / forEach / clear), kept inside the
+     * entry so the hot entry() lookup touches a single cache line
+     * instead of a separate presence array.
      */
     uint8_t touched = 0;
     /** Presence bits (valid when Shared). */
@@ -85,7 +87,7 @@ class Directory
         DirEntry &e = dense[id];
         if (!e.touched) {
             e.touched = 1;
-            ++materialized;
+            touchedIds.push_back(static_cast<uint32_t>(id));
         }
         return e;
     }
@@ -101,16 +103,19 @@ class Directory
         return it == overflow.end() ? nullptr : &it->second;
     }
 
-    /** Drop all entries (machine reset between runs). */
+    /** Drop all entries (machine reset between runs). Costs the
+     *  number of entries touched since the last clear, not the size
+     *  of the dense window. */
     void
     clear()
     {
-        std::fill(dense.begin(), dense.end(), DirEntry{});
+        for (uint32_t id : touchedIds)
+            dense[id] = DirEntry{};
+        touchedIds.clear();
         overflow.clear();
-        materialized = 0;
     }
 
-    size_t numEntries() const { return materialized + overflow.size(); }
+    size_t numEntries() const { return touchedIds.size() + overflow.size(); }
 
     /** Visit every materialized (line, entry) pair. */
     template <typename F>
@@ -149,7 +154,8 @@ class Directory
     }
 
     uint32_t lineShift;
-    size_t materialized = 0;
+    /** Dense ids whose entry is touched, in first-touch order. */
+    std::vector<uint32_t> touchedIds;
     std::vector<DirEntry> dense;
     std::unordered_map<Addr, DirEntry> overflow;
 };

@@ -1,6 +1,5 @@
 #include "mem/dsm.hh"
 
-#include "sim/logging.hh"
 #include "sim/sim_context.hh"
 
 namespace specrt
@@ -10,9 +9,6 @@ DsmSystem::DsmSystem(const MachineConfig &config)
     : StatGroup("system"), cfg(config), mem(config)
 {
     cfg.validate();
-    if (cfg.numProcs > 64)
-        fatal("DsmSystem supports at most 64 nodes (full-map "
-              "directory presence bits)");
 
     // Schedule exploration: a controller parked in the ambient
     // SimContext takes effect on every machine built under it, so

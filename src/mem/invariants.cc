@@ -90,15 +90,16 @@ InvariantChecker::checkCoherence(Granularity g)
     struct Holder
     {
         NodeId node;
-        const CacheLine *line;
+        const LineTag *line;
+        const uint8_t *data;
+        uint32_t bytes;
     };
     std::unordered_map<Addr, std::vector<Holder>> holders;
     for (NodeId n = 0; n < procs; ++n) {
-        for (const CacheLine &cl :
-             dsm.cacheCtrl(n).cacheArray().l2Lines()) {
-            if (cl.valid())
-                holders[cl.addr].push_back({n, &cl});
-        }
+        const NodeCache &cache = dsm.cacheCtrl(n).cacheArray();
+        cache.forEachLine([&](const LineTag &t, const uint8_t *data) {
+            holders[t.addr].push_back({n, &t, data, cache.lineBytes()});
+        });
     }
 
     std::vector<uint8_t> memData;
@@ -139,13 +140,10 @@ InvariantChecker::checkCoherence(Granularity g)
                            where + " is Shared but its presence bit "
                                    "is clear at home");
                 } else {
-                    uint32_t bytes =
-                        static_cast<uint32_t>(h.line->data.size());
-                    memData.resize(bytes);
-                    dsm.memory().readLine(addr, memData.data(), bytes);
-                    if (bytes != h.line->data.size() ||
-                        std::memcmp(memData.data(),
-                                    h.line->data.data(), bytes) != 0)
+                    memData.resize(h.bytes);
+                    dsm.memory().readLine(addr, memData.data(), h.bytes);
+                    if (std::memcmp(memData.data(), h.data, h.bytes) !=
+                        0)
                         report("shared-data",
                                where + " (clean) differs from memory");
                 }
@@ -171,7 +169,7 @@ InvariantChecker::checkCoherence(Granularity g)
                 if (e.sharers != 0)
                     report("dirty-no-sharers",
                            where + " is Dirty with presence bits set");
-                const CacheLine *cl = dsm.cacheCtrl(e.owner)
+                const LineTag *cl = dsm.cacheCtrl(e.owner)
                                           .cacheArray()
                                           .findLine(addr);
                 if (!cl || cl->state != LineState::Dirty)
@@ -240,7 +238,7 @@ InvariantChecker::checkSpecBits(Granularity g)
         spec->cacheUnit(n).forEachNpLine([&](Addr line,
                                              const NPTagBits *bits,
                                              uint32_t elems) {
-            const CacheLine *cl = cache.findLine(line);
+            const LineTag *cl = cache.findLine(line);
             if (!cl || cl->state != LineState::Shared)
                 return;
             const Region *r = dsm.memory().find(line);

@@ -12,28 +12,29 @@ opToString(const Op &op)
 {
     std::ostringstream os;
     auto idx = [&]() -> std::string {
-        if (op.index.isReg)
-            return "r" + std::to_string(op.index.reg);
-        return std::to_string(op.index.imm);
+        IndexOperand i = op.index();
+        if (i.isReg)
+            return "r" + std::to_string(i.reg);
+        return std::to_string(i.imm);
     };
     switch (op.kind) {
       case OpKind::Imm:
-        os << "imm r" << op.dst << " = " << op.imm;
+        os << "imm r" << int(op.dst) << " = " << op.imm();
         break;
       case OpKind::Alu:
-        os << "alu r" << op.dst << " = r" << op.srcA << " op" << " r"
-           << op.srcB;
+        os << "alu r" << int(op.dst) << " = r" << int(op.srcA) << " op"
+           << " r" << int(op.srcB);
         break;
       case OpKind::Load:
-        os << "load r" << op.dst << " = a" << op.arrayId << "["
+        os << "load r" << int(op.dst) << " = a" << op.arrayId << "["
            << idx() << "]";
         break;
       case OpKind::Store:
         os << "store a" << op.arrayId << "[" << idx() << "] = r"
-           << op.srcA;
+           << int(op.srcA);
         break;
       case OpKind::Busy:
-        os << "busy " << op.cycles;
+        os << "busy " << op.cycles();
         break;
     }
     return os.str();

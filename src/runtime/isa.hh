@@ -53,39 +53,103 @@ struct IndexOperand
     static IndexOperand fromReg(int r) { return {true, r, 0}; }
 };
 
-/** One micro-op. */
+/**
+ * One micro-op, packed into 16 bytes: programs are generated and
+ * interpreted by the hundred thousand per run (one set of SW-LRPD
+ * merge programs is over 100K ops), so op size is host time.
+ *
+ * Registers are bytes (numRegs is 32). A Load/Store index held in a
+ * register lives in srcB; every other operand value -- the Imm value,
+ * an immediate element index, the Busy duration -- shares the 64-bit
+ * payload. Build ops with the op* builders and read the shared
+ * fields through the accessors.
+ */
 struct Op
 {
+    /** flags: the Load/Store index is register srcB. */
+    static constexpr uint8_t indexInReg = 1;
+    /** flags: the access belongs to a reduction statement. */
+    static constexpr uint8_t reduction = 2;
+
     OpKind kind = OpKind::Busy;
-    int dst = 0;            ///< Imm/Alu/Load destination register
-    int srcA = 0;           ///< Alu operand / Store value register
-    int srcB = 0;           ///< Alu operand
+    uint8_t dst = 0;        ///< Imm/Alu/Load destination register
+    uint8_t srcA = 0;       ///< Alu operand / Store value register
+    uint8_t srcB = 0;       ///< Alu operand / Load/Store index register
     AluOp alu = AluOp::Add;
-    int arrayId = -1;       ///< Load/Store target array
-    IndexOperand index;     ///< Load/Store element index
-    int64_t imm = 0;        ///< Imm value
-    Cycles cycles = 0;      ///< Busy duration
+    uint8_t flags = 0;      ///< indexInReg | reduction
+    int16_t arrayId = -1;   ///< Load/Store target array
+    /** Imm value, immediate Load/Store index, or Busy cycles. */
+    int64_t payload = 0;
+
+    /** Imm value. */
+    int64_t imm() const { return payload; }
+
+    /** Busy duration. */
+    Cycles cycles() const { return static_cast<Cycles>(payload); }
+
+    /** Load/Store element index operand. */
+    IndexOperand
+    index() const
+    {
+        return flags & indexInReg ? IndexOperand::fromReg(srcB)
+                                  : IndexOperand::immediate(payload);
+    }
+
     /**
      * The access belongs to a compiler-identified reduction
      * statement (A(x) op= expr). Arrays under the reduction test
      * may only be touched by such accesses; the hardware checks the
      * tag with its address-range comparator on every access.
      */
-    bool isReduction = false;
+    bool isReduction() const { return flags & reduction; }
 };
+
+static_assert(sizeof(Op) == 16, "Op must stay packed");
 
 /** A single iteration's body. */
 using IterProgram = std::vector<Op>;
 
 // --- builders ---------------------------------------------------------
 
+namespace detail
+{
+
+/** A register operand as stored in an Op. Any byte is encodable:
+ *  registers past numRegs are the validator's to report. */
+inline uint8_t
+reg8(int r)
+{
+    SPECRT_ASSERT(r >= 0 && r < 256, "register %d not encodable", r);
+    return static_cast<uint8_t>(r);
+}
+
+/** A Load/Store of @p array_id at @p index. */
+inline Op
+memOp(OpKind kind, int array_id, IndexOperand index)
+{
+    SPECRT_ASSERT(array_id >= -1 && array_id <= INT16_MAX,
+                  "arrayId %d not encodable", array_id);
+    Op op;
+    op.kind = kind;
+    op.arrayId = static_cast<int16_t>(array_id);
+    if (index.isReg) {
+        op.flags = Op::indexInReg;
+        op.srcB = reg8(index.reg);
+    } else {
+        op.payload = index.imm;
+    }
+    return op;
+}
+
+} // namespace detail
+
 inline Op
 opImm(int dst, int64_t value)
 {
     Op op;
     op.kind = OpKind::Imm;
-    op.dst = dst;
-    op.imm = value;
+    op.dst = detail::reg8(dst);
+    op.payload = value;
     return op;
 }
 
@@ -94,21 +158,18 @@ opAlu(int dst, AluOp alu, int src_a, int src_b)
 {
     Op op;
     op.kind = OpKind::Alu;
-    op.dst = dst;
+    op.dst = detail::reg8(dst);
     op.alu = alu;
-    op.srcA = src_a;
-    op.srcB = src_b;
+    op.srcA = detail::reg8(src_a);
+    op.srcB = detail::reg8(src_b);
     return op;
 }
 
 inline Op
 opLoad(int dst, int array_id, IndexOperand index)
 {
-    Op op;
-    op.kind = OpKind::Load;
-    op.dst = dst;
-    op.arrayId = array_id;
-    op.index = index;
+    Op op = detail::memOp(OpKind::Load, array_id, index);
+    op.dst = detail::reg8(dst);
     return op;
 }
 
@@ -121,11 +182,8 @@ opLoad(int dst, int array_id, int64_t index)
 inline Op
 opStore(int array_id, IndexOperand index, int src)
 {
-    Op op;
-    op.kind = OpKind::Store;
-    op.arrayId = array_id;
-    op.index = index;
-    op.srcA = src;
+    Op op = detail::memOp(OpKind::Store, array_id, index);
+    op.srcA = detail::reg8(src);
     return op;
 }
 
@@ -140,7 +198,7 @@ opBusy(Cycles cycles)
 {
     Op op;
     op.kind = OpKind::Busy;
-    op.cycles = cycles;
+    op.payload = static_cast<int64_t>(cycles);
     return op;
 }
 
@@ -149,7 +207,7 @@ inline Op
 opLoadRed(int dst, int array_id, IndexOperand index)
 {
     Op op = opLoad(dst, array_id, index);
-    op.isReduction = true;
+    op.flags |= Op::reduction;
     return op;
 }
 
@@ -158,7 +216,7 @@ inline Op
 opStoreRed(int array_id, IndexOperand index, int src)
 {
     Op op = opStore(array_id, index, src);
-    op.isReduction = true;
+    op.flags |= Op::reduction;
     return op;
 }
 

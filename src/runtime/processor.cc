@@ -137,8 +137,6 @@ Processor::finishIteration()
         traceIter(trace::TraceOp::IterEnd, eq.curTick(), node,
                   curIter);
     iters += 1;
-    IterNum finished = curIter;
-    (void)finished;
 
     auto advance = [this]() {
         if (!active)
@@ -170,7 +168,7 @@ Processor::execNonMem(const Op &op)
 {
     switch (op.kind) {
       case OpKind::Imm:
-        regs[op.dst] = op.imm;
+        regs[op.dst] = op.imm();
         break;
       case OpKind::Alu:
         regs[op.dst] = evalAlu(op.alu, regs[op.srcA], regs[op.srcB]);
@@ -194,7 +192,7 @@ Processor::step()
             break;
         execNonMem(op);
         acc += op.kind == OpKind::Busy
-                   ? (op.cycles > 0 ? op.cycles : 1)
+                   ? (op.cycles() > 0 ? op.cycles() : 1)
                    : 1;
         ++pc;
     }
@@ -233,8 +231,9 @@ Processor::step()
 }
 
 int64_t
-Processor::indexValue(const IndexOperand &idx) const
+Processor::indexValue(const Op &op) const
 {
+    IndexOperand idx = op.index();
     return idx.isReg ? regs[idx.reg] : idx.imm;
 }
 
@@ -247,7 +246,7 @@ Processor::resolve(const Op &op) const
                   "bad arrayId %d", op.arrayId);
     const ArrayBinding &b = (*bindings)[op.arrayId];
     SPECRT_ASSERT(b.region, "unbound arrayId %d", op.arrayId);
-    int64_t idx = indexValue(op.index);
+    int64_t idx = indexValue(op);
     SPECRT_ASSERT(idx >= 0 &&
                   static_cast<uint64_t>(idx) < b.region->numElems(),
                   "index %lld out of bounds for region '%s' (%llu "
@@ -262,11 +261,11 @@ Processor::issueLoad(const Op &op)
 {
     auto [addr, elem] = resolve(op);
     const ArrayBinding &b = (*bindings)[op.arrayId];
-    if (b.reductionOnly && !op.isReduction && violationHook)
+    if (b.reductionOnly && !op.isReduction() && violationHook)
         violationHook(node, addr);
     if (trace && b.traced)
         trace->record(node, curIter, b.traceArrayId, elem, false,
-                      op.isReduction);
+                      op.isReduction());
 
     Tick t0 = eq.curTick();
     int dst = op.dst;
@@ -303,11 +302,11 @@ Processor::issueStore(const Op &op, Tick stall_start)
         return;
     }
 
-    if (b.reductionOnly && !op.isReduction && violationHook)
+    if (b.reductionOnly && !op.isReduction() && violationHook)
         violationHook(node, addr);
     if (trace && b.traced)
         trace->record(node, curIter, b.traceArrayId, elem, true,
-                      op.isReduction);
+                      op.isReduction());
 
     busy += 1;
     Tick waited = eq.curTick() - stall_start;

@@ -145,7 +145,8 @@ class Processor : public StatGroup
 
     /** Resolve the address + element index of a memory op. */
     std::pair<Addr, uint64_t> resolve(const Op &op) const;
-    int64_t indexValue(const IndexOperand &idx) const;
+    /** Element index of a Load/Store. */
+    int64_t indexValue(const Op &op) const;
 
     NodeId node;
     EventQueue &eq;

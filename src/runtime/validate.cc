@@ -104,7 +104,7 @@ validateWorkload(Workload &w, IterNum max_iters)
                 checkReg(rep, i, k, op.srcB, "source");
                 break;
               case OpKind::Busy:
-                if (op.cycles > 1000000)
+                if (op.cycles() > 1000000)
                     issue(rep, i, k, "implausible Busy duration");
                 break;
               case OpKind::Load:
@@ -121,23 +121,24 @@ validateWorkload(Workload &w, IterNum max_iters)
                 const ArrayDecl &decl = decls[op.arrayId];
                 bool reduction_array =
                     decl.test == TestType::Reduction;
-                if (op.isReduction && !reduction_array)
+                if (op.isReduction() && !reduction_array)
                     issue(rep, i, k,
                           "reduction-tagged access to non-reduction "
                           "array '" + decl.name + "'");
-                if (!op.isReduction && reduction_array)
+                if (!op.isReduction() && reduction_array)
                     issue(rep, i, k,
                           "untagged access to reduction array '" +
                               decl.name +
                               "' (would fail the reduction test)");
-                if (op.index.isReg) {
-                    checkReg(rep, i, k, op.index.reg, "index");
+                IndexOperand idx = op.index();
+                if (idx.isReg) {
+                    checkReg(rep, i, k, idx.reg, "index");
                     ++rep.dynamicIndexAccesses;
-                } else if (op.index.imm < 0 ||
-                           static_cast<uint64_t>(op.index.imm) >=
+                } else if (idx.imm < 0 ||
+                           static_cast<uint64_t>(idx.imm) >=
                                decl.elems) {
                     std::ostringstream os;
-                    os << "index " << op.index.imm
+                    os << "index " << idx.imm
                        << " out of bounds for '" << decl.name << "' ("
                        << decl.elems << " elems)";
                     issue(rep, i, k, os.str());

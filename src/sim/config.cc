@@ -83,8 +83,9 @@ CritpathConfig::fromEnv()
 void
 MachineConfig::validate() const
 {
-    if (numProcs < 1 || numProcs > 1024)
-        fatal("numProcs must be in [1, 1024], got %d", numProcs);
+    if (numProcs < 1 || numProcs > maxProcs)
+        fatal("numProcs must be in [1, %d], got %d", maxProcs,
+              numProcs);
     if (!isPow2(pageBytes))
         fatal("pageBytes must be a power of two, got %u", pageBytes);
     for (const CacheConfig *c : {&l1, &l2}) {

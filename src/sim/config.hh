@@ -187,10 +187,16 @@ struct CritpathConfig
     static CritpathConfig fromEnv();
 };
 
+/**
+ * Largest machine: the full-map directory keeps one presence bit per
+ * node in a 64-bit word (mem/directory.hh).
+ */
+constexpr int maxProcs = 64;
+
 /** Full machine description. */
 struct MachineConfig
 {
-    /** Number of nodes == number of processors. */
+    /** Number of nodes == number of processors, in [1, maxProcs]. */
     int numProcs = 16;
     /** Page size used for round-robin data placement. */
     uint32_t pageBytes = 4096;

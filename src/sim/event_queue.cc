@@ -25,6 +25,15 @@ EventQueue::~EventQueue()
     SPECRT_ASSERT(fifoDead <= fifo.size() - fifoHead,
                   "event queue FIFO lane corrupt: %zu dead of %zu",
                   fifoDead, fifo.size() - fifoHead);
+    destroySlots();
+}
+
+void
+EventQueue::destroySlots()
+{
+    for (uint32_t i = 0; i < slotCount; ++i)
+        std::destroy_at(&slotAt(i));
+    slotCount = 0;
 }
 
 uint32_t
@@ -36,8 +45,9 @@ EventQueue::allocSlot()
         freeHead = slotAt(idx).nextFree;
     } else {
         if ((slotCount >> slotChunkShift) == slotChunks.size())
-            slotChunks.emplace_back(new Slot[slotChunkLen]);
+            slotChunks.emplace_back(new SlotStorage[slotChunkLen]);
         idx = slotCount++;
+        std::construct_at(&slotAt(idx));
     }
     ++slotsInUse;
     return idx;
@@ -537,14 +547,18 @@ EventQueue::reset()
     fifo.clear();
     fifoHead = 0;
     fifoDead = 0;
+    // Every occupied bucket holds a pool node whose tick maps to it,
+    // so emptying the buckets of the pool's nodes empties the wheel.
+    for (const WheelNode &n : wpool) {
+        auto b = static_cast<uint32_t>(n.e.when & wheelMask);
+        bucketHead[b] = badIndex;
+        bucketTail[b] = badIndex;
+    }
     wpool.clear();
     wheelFree = badIndex;
-    std::fill(bucketHead.begin(), bucketHead.end(), badIndex);
-    std::fill(bucketTail.begin(), bucketTail.end(), badIndex);
     wheelCount = 0;
     wheelNext = noWheelTick;
-    slotChunks.clear();
-    slotCount = 0;
+    destroySlots();
     freeHead = badIndex;
     slotsInUse = 0;
     pendingCount = 0;

@@ -45,9 +45,11 @@
 #ifndef SPECRT_SIM_EVENT_QUEUE_HH
 #define SPECRT_SIM_EVENT_QUEUE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -446,13 +448,18 @@ class EventQueue
     Slot &
     slotAt(uint32_t i)
     {
-        return slotChunks[i >> slotChunkShift][i & slotChunkMask];
+        return *std::launder(reinterpret_cast<Slot *>(
+            &slotChunks[i >> slotChunkShift][i & slotChunkMask]));
     }
     const Slot &
     slotAt(uint32_t i) const
     {
-        return slotChunks[i >> slotChunkShift][i & slotChunkMask];
+        return *std::launder(reinterpret_cast<const Slot *>(
+            &slotChunks[i >> slotChunkShift][i & slotChunkMask]));
     }
+
+    /** Destroy the slotCount constructed slots (chunks stay). */
+    void destroySlots();
 
     /** Decode an id; returns badIndex unless it names a live slot. */
     uint32_t liveSlotOf(EventId id) const;
@@ -514,11 +521,20 @@ class EventQueue
     /** Tick of the earliest occupied bucket (noWheelTick if none). */
     Tick wheelNext = noWheelTick;
 
-    /** Chunked slot storage (stable addresses; see slotAt()). */
+    /**
+     * Chunked slot storage (stable addresses; see slotAt()). A chunk
+     * is raw memory: slots are constructed as slotCount grows and
+     * destroyed by reset() and the destructor, so both cost the
+     * slots a run used, not the chunk size.
+     */
     static constexpr uint32_t slotChunkShift = 9;
     static constexpr uint32_t slotChunkLen = 1u << slotChunkShift;
     static constexpr uint32_t slotChunkMask = slotChunkLen - 1;
-    std::vector<std::unique_ptr<Slot[]>> slotChunks;
+    struct alignas(Slot) SlotStorage
+    {
+        std::byte bytes[sizeof(Slot)];
+    };
+    std::vector<std::unique_ptr<SlotStorage[]>> slotChunks;
     /** Slots constructed so far (chunks * slotChunkLen covers it). */
     uint32_t slotCount = 0;
     uint32_t freeHead = badIndex;

@@ -43,11 +43,11 @@ void
 AdmLoop::initData(AddrMap &mem,
                   const std::vector<const Region *> &r)
 {
-    for (uint64_t e = 0; e < fieldElems; ++e) {
-        mem.write(r[0]->elemAddr(e), 8, e + 1000);
-        mem.write(r[2]->elemAddr(e), 4,
-                  static_cast<uint64_t>(perm[e]));
-    }
+    mem.fillElems(*r[0], fieldElems,
+                  [](uint64_t e) { return e + 1000; });
+    mem.fillElems(*r[2], fieldElems, [this](uint64_t e) {
+        return static_cast<uint64_t>(perm[e]);
+    });
 }
 
 void

@@ -20,8 +20,8 @@ void
 Fig1ALoop::initData(AddrMap &mem,
                     const std::vector<const Region *> &r)
 {
-    for (uint64_t e = 0; e < r[0]->numElems(); ++e)
-        mem.write(r[0]->elemAddr(e), 4, e + 1);
+    mem.fillElems(*r[0], r[0]->numElems(),
+                  [](uint64_t e) { return e + 1; });
 }
 
 void
@@ -52,8 +52,8 @@ void
 Fig1BLoop::initData(AddrMap &mem,
                     const std::vector<const Region *> &r)
 {
-    for (uint64_t e = 0; e < r[0]->numElems(); ++e)
-        mem.write(r[0]->elemAddr(e), 4, 100 + e);
+    mem.fillElems(*r[0], r[0]->numElems(),
+                  [](uint64_t e) { return 100 + e; });
 }
 
 void
@@ -117,8 +117,7 @@ void
 Fig1CLoop::initData(AddrMap &mem,
                     const std::vector<const Region *> &r)
 {
-    for (uint64_t e = 0; e < elems; ++e)
-        mem.write(r[0]->elemAddr(e), 4, 7 * e + 3);
+    mem.fillElems(*r[0], elems, [](uint64_t e) { return 7 * e + 3; });
     for (IterNum i = 1; i <= n; ++i) {
         mem.write(r[1]->elemAddr(i), 4, static_cast<uint64_t>(f[i]));
         mem.write(r[2]->elemAddr(i), 4, static_cast<uint64_t>(g[i]));
@@ -283,14 +282,12 @@ HistogramLoop::initData(AddrMap &mem,
 {
     // Bins start non-zero so the merge's "shared + sum of partials"
     // semantics are visible.
-    for (uint64_t b = 0; b < p.bins; ++b)
-        mem.write(r[0]->elemAddr(b), 4, 10 * b);
+    mem.fillElems(*r[0], p.bins, [](uint64_t b) { return 10 * b; });
     Rng rng(p.seed);
-    for (uint64_t k = 0; k < r[1]->numElems(); ++k)
-        mem.write(r[1]->elemAddr(k), 4, rng.nextBounded(p.bins));
-    for (IterNum i = 0; i <= p.iters; ++i)
-        mem.write(r[2]->elemAddr(i), 4,
-                  static_cast<uint64_t>(i % 7 + 1));
+    mem.fillElems(*r[1], r[1]->numElems(),
+                  [&](uint64_t) { return rng.nextBounded(p.bins); });
+    mem.fillElems(*r[2], static_cast<uint64_t>(p.iters) + 1,
+                  [](uint64_t i) { return i % 7 + 1; });
 }
 
 void
@@ -352,8 +349,7 @@ void
 RandomLoop::initData(AddrMap &mem,
                      const std::vector<const Region *> &r)
 {
-    for (uint64_t e = 0; e < p.elems; ++e)
-        mem.write(r[0]->elemAddr(e), 4, e * 3 + 11);
+    mem.fillElems(*r[0], p.elems, [](uint64_t e) { return e * 3 + 11; });
 }
 
 void

@@ -27,10 +27,9 @@ void
 OceanLoop::initData(AddrMap &mem,
                     const std::vector<const Region *> &r)
 {
-    for (uint64_t e = 0; e < p.elems; ++e)
-        mem.write(r[0]->elemAddr(e), 8, e * 5 + 1);
-    for (uint64_t e = 0; e < r[1]->numElems(); ++e)
-        mem.write(r[1]->elemAddr(e), 8, e + 2);
+    mem.fillElems(*r[0], p.elems, [](uint64_t e) { return e * 5 + 1; });
+    mem.fillElems(*r[1], r[1]->numElems(),
+                  [](uint64_t e) { return e + 2; });
 }
 
 void

@@ -58,8 +58,9 @@ P3mLoop::initData(AddrMap &mem,
                   const std::vector<const Region *> &r)
 {
     // Workspaces start at zero (they are written before read).
-    for (uint64_t e = 0; e < p.posElems; ++e)
-        mem.write(r[2]->elemAddr(e), 4, (e * 2654435761ULL) & 0xffff);
+    mem.fillElems(*r[2], p.posElems, [](uint64_t e) {
+        return (e * 2654435761ULL) & 0xffff;
+    });
 }
 
 void

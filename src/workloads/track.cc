@@ -60,13 +60,11 @@ void
 TrackLoop::initData(AddrMap &mem,
                     const std::vector<const Region *> &r)
 {
-    for (int a = 0; a < 4; ++a) {
-        for (uint64_t e = 0; e < p.elems; ++e)
-            mem.write(r[a]->elemAddr(e), r[a]->elemBytes,
-                      e + 17 * (a + 1));
-    }
-    for (uint64_t e = 0; e < r[4]->numElems(); ++e)
-        mem.write(r[4]->elemAddr(e), 4, mix(e) & 0xffff);
+    for (int a = 0; a < 4; ++a)
+        mem.fillElems(*r[a], p.elems,
+                      [a](uint64_t e) { return e + 17 * (a + 1); });
+    mem.fillElems(*r[4], r[4]->numElems(),
+                  [](uint64_t e) { return mix(e) & 0xffff; });
 }
 
 void

@@ -14,10 +14,10 @@ TEST(CopyProgram, EmitsLoadStorePairs)
     ASSERT_EQ(prog.size(), 8u);
     EXPECT_EQ(prog[0].kind, OpKind::Load);
     EXPECT_EQ(prog[0].arrayId, 0);
-    EXPECT_EQ(prog[0].index.imm, 10);
+    EXPECT_EQ(prog[0].index().imm, 10);
     EXPECT_EQ(prog[1].kind, OpKind::Store);
     EXPECT_EQ(prog[1].arrayId, 1);
-    EXPECT_EQ(prog[7].index.imm, 13);
+    EXPECT_EQ(prog[7].index().imm, 13);
 }
 
 TEST(SparseCheckpoint, SavesOnlyFirstValue)

@@ -60,6 +60,17 @@ TEST(Config, RejectsBadProcCount)
     EXPECT_THROW(cfg.validate(), FatalError);
 }
 
+TEST(Config, NodeLimitIsTheDirectoryWidth)
+{
+    ThrowGuard guard;
+    MachineConfig cfg;
+    cfg.numProcs = maxProcs;
+    EXPECT_EQ(maxProcs, 64);
+    EXPECT_NO_THROW(cfg.validate());
+    cfg.numProcs = maxProcs + 1;
+    EXPECT_THROW(cfg.validate(), FatalError);
+}
+
 TEST(Config, RejectsNonPow2Caches)
 {
     ThrowGuard guard;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "mem/directory.hh"
 #include "mem/dsm.hh"
 
 using namespace specrt;
@@ -159,4 +162,39 @@ TEST(DirCtrl, WritebackMakesLineUncached)
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->state, DirState::Uncached);
     EXPECT_EQ(rig.dsm->memory().read(rig.r->base, 4), 7u);
+}
+
+TEST(Directory, ClearForgetsDenseAndOverflowEntries)
+{
+    Directory dir(64);
+    // Dense window: line ids below 2^24; overflow past 1 GiB.
+    const Addr overflowBase = Addr(1) << 40;
+    std::set<Addr> lines;
+    for (Addr a : {Addr(0x1000), Addr(0x1040), Addr(0x200000),
+                   overflowBase, overflowBase + 0x40}) {
+        DirEntry &e = dir.entry(a);
+        e.state = DirState::Shared;
+        e.addSharer(3);
+        dir.entry(a); // a second touch materializes nothing new
+        lines.insert(a);
+    }
+    EXPECT_EQ(dir.numEntries(), lines.size());
+    std::set<Addr> seen;
+    dir.forEach([&](Addr a, const DirEntry &) { seen.insert(a); });
+    EXPECT_EQ(seen, lines);
+
+    for (int round = 0; round < 2; ++round) {
+        dir.clear();
+        EXPECT_EQ(dir.numEntries(), 0u);
+        size_t visited = 0;
+        dir.forEach([&](Addr, const DirEntry &) { ++visited; });
+        EXPECT_EQ(visited, 0u);
+        for (Addr a : lines)
+            EXPECT_EQ(dir.find(a), nullptr);
+        // Re-touched entries start over as Uncached.
+        const DirEntry &e = dir.entry(0x1040);
+        EXPECT_EQ(e.state, DirState::Uncached);
+        EXPECT_EQ(e.sharers, 0u);
+        EXPECT_EQ(dir.numEntries(), 1u);
+    }
 }

@@ -166,6 +166,30 @@ TEST(EventQueue, ResetDropsEverything)
     EXPECT_EQ(eq.curTick(), 0u);
     eq.run();
     EXPECT_EQ(fired, 0);
+
+    // Reset with the timing wheel in use: fired, pending and cancelled
+    // nodes in several buckets. The wheel must come back empty, so
+    // events landing in the same buckets afterwards fire at their own
+    // ticks, in order.
+    std::vector<Tick> at;
+    auto note = [&]() { at.push_back(eq.curTick()); };
+    eq.schedule(3, note);
+    eq.schedule(9, [&]() {
+        note();
+        eq.stop();
+    });
+    eq.schedule(12, note);
+    eq.deschedule(eq.schedule(15, note));
+    eq.run();
+    EXPECT_EQ(at, (std::vector<Tick>{3, 9}));
+    eq.reset();
+    EXPECT_TRUE(eq.empty());
+    at.clear();
+    for (Tick t : {15, 5, 12, 3})
+        eq.schedule(t, note);
+    eq.run();
+    EXPECT_EQ(at, (std::vector<Tick>{3, 5, 12, 15}));
+    EXPECT_EQ(eq.numFired(), 4u);
 }
 
 // --- daemon events ----------------------------------------------------

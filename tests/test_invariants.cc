@@ -126,7 +126,7 @@ TEST(Invariants, StaleSharedCopyIsCaught)
 
     NodeCache &cache = dsm.cacheCtrl(0).cacheArray();
     std::vector<uint8_t> bytes(cache.lineBytes(), 0xAB); // memory is 0
-    CacheLine victim;
+    EvictedLine victim;
     cache.fill(line, LineState::Shared, bytes.data(), &victim);
 
     DirEntry &e = dsm.dirCtrl(home).directory().entry(line);

@@ -65,14 +65,59 @@ staticPlacedTrace(const RandomLoop &loop, IterNum iters, int procs)
     return placed;
 }
 
+/**
+ * One sweep case, stored without padding bytes. gtest prints a
+ * parameter it has no printer for as its raw bytes, and ctest names
+ * each instantiation after that print (gtest_discover_tests), so any
+ * padding -- which copies leave as whatever the stack held -- made the
+ * test names differ from one run to the next. Every field is 8 bytes
+ * wide instead; the bytes equal those of the nested
+ * {seed, procs, RandomLoopParams, SchedPolicy, block} layout with its
+ * padding zeroed.
+ */
 struct PropCase
 {
     uint64_t seed;
-    int procs;
-    RandomLoopParams params;
-    SchedPolicy sched;
+    int64_t procs;
+    IterNum iters;
+    uint64_t elems;
+    int64_t accesses;
+    double writeProb;
+    uint64_t window;
+    int64_t test;
+    uint64_t loopSeed;
+    int64_t sched;
     IterNum block;
+
+    RandomLoopParams
+    params() const
+    {
+        RandomLoopParams rp;
+        rp.iters = iters;
+        rp.elems = elems;
+        rp.accesses = static_cast<int>(accesses);
+        rp.writeProb = writeProb;
+        rp.window = window;
+        rp.test = static_cast<TestType>(test);
+        rp.seed = loopSeed;
+        return rp;
+    }
+
+    SchedPolicy policy() const { return static_cast<SchedPolicy>(sched); }
 };
+static_assert(sizeof(PropCase) == 11 * 8, "PropCase must have no padding");
+
+PropCase
+propCase(uint64_t seed, int procs, const RandomLoopParams &rp,
+         SchedPolicy sched, IterNum block)
+{
+    return {seed,         procs,
+            rp.iters,     rp.elems,
+            rp.accesses,  rp.writeProb,
+            rp.window,    static_cast<int64_t>(rp.test),
+            rp.seed,      static_cast<int64_t>(sched),
+            block};
+}
 
 class MachineProperty : public ::testing::TestWithParam<PropCase>
 {
@@ -84,10 +129,10 @@ TEST_P(MachineProperty, VerdictAndState)
 {
     PropCase pc = GetParam();
     MachineConfig cfg;
-    cfg.numProcs = pc.procs;
+    cfg.numProcs = static_cast<int>(pc.procs);
 
     for (int round = 0; round < 6; ++round) {
-        RandomLoopParams rp = pc.params;
+        RandomLoopParams rp = pc.params();
         rp.seed = pc.seed * 1000 + round;
         RandomLoop loop(rp);
 
@@ -100,7 +145,7 @@ TEST_P(MachineProperty, VerdictAndState)
 
         ExecConfig xc;
         xc.mode = ExecMode::HW;
-        xc.sched = pc.sched;
+        xc.sched = pc.policy();
         xc.blockIters = pc.block;
         xc.keepTrace = true;
         LoopExecutor hw(cfg, loop, xc);
@@ -113,10 +158,10 @@ TEST_P(MachineProperty, VerdictAndState)
                 EXPECT_TRUE(Oracle::nonPrivParallel(hres.trace))
                     << "seed " << rp.seed;
             }
-            if (pc.sched == SchedPolicy::StaticChunk) {
+            if (pc.policy() == SchedPolicy::StaticChunk) {
                 // Deterministic placement: exact equivalence.
                 bool oracle_ok = Oracle::nonPrivParallel(
-                    staticPlacedTrace(loop, rp.iters, pc.procs));
+                    staticPlacedTrace(loop, rp.iters, cfg.numProcs));
                 EXPECT_EQ(hres.passed, oracle_ok)
                     << "seed " << rp.seed;
             }
@@ -135,40 +180,40 @@ TEST_P(MachineProperty, VerdictAndState)
 INSTANTIATE_TEST_SUITE_P(
     NonPrivSweep, MachineProperty,
     ::testing::Values(
-        PropCase{21, 4,
+        propCase(21, 4,
                  {32, 512, 3, 0.4, 1, TestType::NonPriv, 0},
-                 SchedPolicy::Dynamic, 4},
-        PropCase{22, 4,
+                 SchedPolicy::Dynamic, 4),
+        propCase(22, 4,
                  {24, 16, 3, 0.5, 16, TestType::NonPriv, 0},
-                 SchedPolicy::Dynamic, 2},
-        PropCase{23, 8,
+                 SchedPolicy::Dynamic, 2),
+        propCase(23, 8,
                  {48, 64, 4, 0.2, 64, TestType::NonPriv, 0},
-                 SchedPolicy::BlockCyclic, 4},
-        PropCase{24, 8,
+                 SchedPolicy::BlockCyclic, 4),
+        propCase(24, 8,
                  {48, 64, 4, 0.0, 64, TestType::NonPriv, 0},
-                 SchedPolicy::Dynamic, 4},
-        PropCase{25, 2,
+                 SchedPolicy::Dynamic, 4),
+        propCase(25, 2,
                  {16, 8, 2, 0.9, 8, TestType::NonPriv, 0},
-                 SchedPolicy::StaticChunk, 4},
-        PropCase{26, 8,
+                 SchedPolicy::StaticChunk, 4),
+        propCase(26, 8,
                  {64, 32, 3, 0.3, 32, TestType::NonPriv, 0},
-                 SchedPolicy::StaticChunk, 4}));
+                 SchedPolicy::StaticChunk, 4)));
 
 INSTANTIATE_TEST_SUITE_P(
     PrivSweep, MachineProperty,
     ::testing::Values(
-        PropCase{31, 4,
+        propCase(31, 4,
                  {32, 64, 4, 0.6, 64, TestType::Priv, 0},
-                 SchedPolicy::Dynamic, 4},
-        PropCase{32, 8,
+                 SchedPolicy::Dynamic, 4),
+        propCase(32, 8,
                  {40, 16, 3, 0.5, 16, TestType::Priv, 0},
-                 SchedPolicy::BlockCyclic, 2},
-        PropCase{33, 4,
+                 SchedPolicy::BlockCyclic, 2),
+        propCase(33, 4,
                  {24, 8, 4, 0.8, 8, TestType::Priv, 0},
-                 SchedPolicy::StaticChunk, 4},
-        PropCase{34, 8,
+                 SchedPolicy::StaticChunk, 4),
+        propCase(34, 8,
                  {64, 128, 3, 0.05, 128, TestType::Priv, 0},
-                 SchedPolicy::Dynamic, 8}));
+                 SchedPolicy::Dynamic, 8)));
 
 TEST(MachineProperty, ReadOnlyRandomLoopsAlwaysPassNonPriv)
 {

@@ -28,15 +28,81 @@ TEST(Isa, BuildersFillFields)
     EXPECT_EQ(l.kind, OpKind::Load);
     EXPECT_EQ(l.dst, 3);
     EXPECT_EQ(l.arrayId, 1);
-    EXPECT_TRUE(l.index.isReg);
+    EXPECT_TRUE(l.index().isReg);
 
     Op s = opStore(0, 17, 4);
     EXPECT_EQ(s.kind, OpKind::Store);
-    EXPECT_EQ(s.index.imm, 17);
+    EXPECT_EQ(s.index().imm, 17);
     EXPECT_EQ(s.srcA, 4);
 
     EXPECT_FALSE(opToString(opBusy(3)).empty());
     EXPECT_NE(opToString(l).find("load"), std::string::npos);
+}
+
+TEST(Isa, BuildersRoundTripThroughPackedOp)
+{
+    for (int64_t v : {int64_t(0), int64_t(-1), int64_t(-4096),
+                      INT64_MIN, INT64_MAX, int64_t(0xffff)}) {
+        Op op = opImm(31, v);
+        EXPECT_EQ(op.kind, OpKind::Imm);
+        EXPECT_EQ(op.dst, 31);
+        EXPECT_EQ(op.imm(), v);
+        EXPECT_FALSE(op.isReduction());
+    }
+
+    Op alu = opAlu(7, AluOp::Shr, 29, 27);
+    EXPECT_EQ(alu.kind, OpKind::Alu);
+    EXPECT_EQ(alu.dst, 7);
+    EXPECT_EQ(alu.alu, AluOp::Shr);
+    EXPECT_EQ(alu.srcA, 29);
+    EXPECT_EQ(alu.srcB, 27);
+
+    // Track's flop cost (22 cycles) is the largest Busy any shipped
+    // workload emits; the validator's plausibility ceiling and a
+    // 64-bit duration round-trip too.
+    for (Cycles c : {Cycles(0), Cycles(1), Cycles(22), Cycles(1000000),
+                     Cycles(1) << 40}) {
+        Op busy = opBusy(c);
+        EXPECT_EQ(busy.kind, OpKind::Busy);
+        EXPECT_EQ(busy.cycles(), c);
+    }
+
+    for (bool red : {false, true}) {
+        for (int array : {0, 1, 300, INT16_MAX}) {
+            Op l = red ? opLoadRed(5, array, IndexOperand::fromReg(28))
+                       : opLoad(5, array, IndexOperand::fromReg(28));
+            EXPECT_EQ(l.kind, OpKind::Load);
+            EXPECT_EQ(l.dst, 5);
+            EXPECT_EQ(l.arrayId, array);
+            EXPECT_TRUE(l.index().isReg);
+            EXPECT_EQ(l.index().reg, 28);
+            EXPECT_EQ(l.isReduction(), red);
+
+            for (int64_t idx : {int64_t(0), int64_t(4095), int64_t(-3),
+                                int64_t(1) << 40}) {
+                Op s = red ? opStoreRed(array,
+                                        IndexOperand::immediate(idx), 9)
+                           : opStore(array, idx, 9);
+                EXPECT_EQ(s.kind, OpKind::Store);
+                EXPECT_EQ(s.srcA, 9);
+                EXPECT_EQ(s.arrayId, array);
+                EXPECT_FALSE(s.index().isReg);
+                EXPECT_EQ(s.index().imm, idx);
+                EXPECT_EQ(s.isReduction(), red);
+
+                Op li = opLoad(2, array, idx);
+                EXPECT_FALSE(li.index().isReg);
+                EXPECT_EQ(li.index().imm, idx);
+                EXPECT_FALSE(li.isReduction());
+            }
+
+            Op sr = red ? opStoreRed(array, IndexOperand::fromReg(1), 4)
+                        : opStore(array, IndexOperand::fromReg(1), 4);
+            EXPECT_TRUE(sr.index().isReg);
+            EXPECT_EQ(sr.index().reg, 1);
+            EXPECT_EQ(sr.srcA, 4);
+        }
+    }
 }
 
 namespace

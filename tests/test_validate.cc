@@ -41,8 +41,8 @@ class BrokenLoop : public Workload
             out.push_back(opLoad(1, 0, 100));    // out of bounds
             out.push_back(opImm(30, 5));         // reserved register
             out.push_back(opStore(0, 2, 1));
-            out.push_back(opLoad(2, 0, 3));
-            out.back().isReduction = true;       // tag on non-red array
+            out.push_back(                       // tag on non-red array
+                opLoadRed(2, 0, IndexOperand::immediate(3)));
         } else {
             out.push_back(opLoad(1, 1, 0));      // untagged on R
             out.push_back(opLoadRed(2, 1, IndexOperand::immediate(1)));
