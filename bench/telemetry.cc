@@ -9,8 +9,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <sstream>
+#include <utility>
 
 #include "core/loop_exec.hh"
 #include "obs/event_log.hh"
@@ -21,8 +23,6 @@
 #include "sim/profile.hh"
 #include "sim/sim_context.hh"
 #include "sim/timeline.hh"
-#include "sim/trace.hh"
-#include "sim/trace_export.hh"
 
 #ifndef SPECRT_GIT_SHA
 #define SPECRT_GIT_SHA "unknown"
@@ -41,6 +41,61 @@ unsigned jobsCount = 1;
 
 /** Resolved --status-out path; runJobs streams progress there. */
 std::string statusPath;
+
+/**
+ * The path-valued flags, each "--flag <path>" or "--flag=<path>". The
+ * first obs::numArtifacts are indexed by obs::Consumer.
+ */
+struct PathFlag
+{
+    const char *flag;
+    const char *help;
+};
+
+const PathFlag pathFlags[] = {
+    {"--trace-out", "record the protocol trace and write Chrome/Perfetto "
+                    "JSON to <path>"},
+    {"--timeline-out", "sample the metric timeline and write its CSV to "
+                       "<path> (with --trace-out, counter tracks land in "
+                       "the trace JSON too)"},
+    {"--critpath-out", "profile stall attribution and write the "
+                       "critical-path Perfetto JSON to <path>"},
+    {"--events-out", "record the structured event log and write the "
+                     "merged JSONL to <path>"},
+    {"--report-out", "write the unified run report JSON to <path> "
+                     "(implies the event log)"},
+    {"--status-out", "stream live campaign progress snapshots to <path> "
+                     "(scripts/specrt_top.py tails it)"},
+};
+
+constexpr size_t numPathFlags = std::size(pathFlags);
+
+enum : size_t
+{
+    timelineFlag = static_cast<size_t>(obs::Consumer::Timeline),
+    critpathFlag = static_cast<size_t>(obs::Consumer::Critpath),
+    eventsFlag = static_cast<size_t>(obs::Consumer::Events),
+    reportFlag = obs::numArtifacts,
+    statusFlag,
+};
+
+/**
+ * The value of @p flag at argv[@p i] ("--flag=<v>", or "--flag <v>",
+ * which advances @p i), or null when argv[@p i] is another argument.
+ */
+const char *
+flagValue(const char *flag, int &i, int argc, char **argv)
+{
+    size_t len = std::strlen(flag);
+    const char *arg = argv[i];
+    if (std::strncmp(arg, flag, len) != 0)
+        return nullptr;
+    if (arg[len] == '=')
+        return arg + len + 1;
+    if (arg[len] == '\0' && i + 1 < argc)
+        return argv[++i];
+    return nullptr;
+}
 
 /** Peak resident set size of this process, in KiB (0 if unknown). */
 uint64_t
@@ -175,28 +230,13 @@ std::vector<campaign::JobOutcome>
 runJobs(size_t n, const campaign::JobFn &fn, uint64_t base_seed)
 {
     std::vector<Telemetry> shards(n);
-    // With the process timeline on (--timeline-out), every job
-    // samples into its own context's timeline at the same interval;
-    // the shards are captured per job and merged below in job-id
-    // order, so the merged timeline does not depend on --jobs.
-    timeline::Timeline &procTl = timeline::current();
-    bool tlOn = procTl.isOn();
-    Tick tlInterval = procTl.interval();
-    std::vector<timeline::Timeline> tlShards(tlOn ? n : 0);
-    // Same per-job capture for the critical-path recorder: each job
-    // fills its own context's recorder; merging in job-id order keeps
-    // the export byte-identical across --jobs values.
-    critpath::Recorder &procCp = critpath::current();
-    bool cpOn = procCp.isOn();
-    std::vector<critpath::Recorder> cpShards(cpOn ? n : 0);
-    // And for the event log: each job records into its own context's
-    // log (bracketed by job_begin) and the shards merge in job-id
-    // order, with job_end lines appended from the outcomes, so the
-    // merged JSONL is byte-identical across --jobs values.
-    obs::EventLog &procEv = obs::log();
-    bool evOn = procEv.isOn();
-    size_t evCap = procEv.capacity();
-    std::vector<obs::EventLog> evShards(evOn ? n : 0);
+    // Every observability consumer on in the process context (bench
+    // flags) is switched on, with the same geometry, in each job's
+    // context; the job's recorders are captured when it ends and
+    // merged below in job-id order, so no merged artifact depends on
+    // --jobs.
+    obs::Recorders &proc = SimContext::current().recorders();
+    std::vector<obs::Recorders> obsShards(n);
 
     // Live figures for the --status-out snapshot (publisher thread).
     std::mutex liveMtx;
@@ -217,49 +257,30 @@ runJobs(size_t n, const campaign::JobFn &fn, uint64_t base_seed)
         n,
         [&](size_t id, SimContext &ctx) {
             ScopedTelemetry scoped(shards[id]);
-            if (tlOn)
-                timeline::current().enable(tlInterval);
-            if (cpOn)
-                critpath::current().enable();
-            // Capture the job's event log even when fn throws (a
-            // failed job's events are the forensic record).
-            struct EvGuard
+            ctx.recorders().enableLike(proc);
+            // Capture even when fn throws: a failed job's record is
+            // the forensic one.
+            struct Capture
             {
-                obs::EventLog *dst = nullptr;
-                ~EvGuard()
+                obs::Recorders &from, &to;
+                ~Capture()
                 {
-                    if (dst)
-                        *dst = obs::log();
+                    to = std::exchange(from, obs::Recorders{});
+                    obs::refresh();
                 }
-            } evg;
-            if (evOn) {
-                obs::log().enable(evCap);
-                obs::refreshEnabled();
-                evg.dst = &evShards[id];
-                obs::jobBegin(id, ctx.baseSeed);
-            }
+            } capture{ctx.recorders(), obsShards[id]};
+            obs::jobBegin(id, ctx.baseSeed);
             fn(id, ctx);
-            if (tlOn)
-                tlShards[id] = timeline::current();
-            if (cpOn)
-                cpShards[id] = critpath::current();
-            {
-                std::lock_guard<std::mutex> lock(liveMtx);
-                liveTicks += shards[id].simTicks;
-                if (tlOn)
-                    liveHot = timeline::current().hotSummary(1);
-            }
+            std::lock_guard<std::mutex> lock(liveMtx);
+            liveTicks += shards[id].simTicks;
+            if (timeline::enabled())
+                liveHot = timeline::current().hotSummary(1);
         },
         opts);
     Telemetry &t = processTelemetry();
-    for (const Telemetry &shard : shards) // job-id order: deterministic
-        t.merge(shard);
-    for (const timeline::Timeline &shard : tlShards)
-        procTl.merge(shard);
-    for (const critpath::Recorder &shard : cpShards)
-        procCp.merge(shard);
-    for (size_t id = 0; id < evShards.size(); ++id) {
-        procEv.merge(evShards[id]);
+    for (size_t id = 0; id < n; ++id) { // job-id order: deterministic
+        t.merge(shards[id]);
+        proc.merge(obsShards[id]);
         obs::jobEnd(outcomes[id].id, outcomes[id].ok,
                     outcomes[id].error);
     }
@@ -329,50 +350,24 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
 {
     const char *envOut = std::getenv("SPECRT_BENCH_OUT");
     std::string outPath = envOut ? envOut : "BENCH_results.json";
-    std::string tracePath;
-    std::string timelinePath;
-    std::string critpathPath;
-    std::string eventsPath;
-    std::string reportPath;
+    std::string paths[numPathFlags];
     bool writeJson = true;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--quick") {
+        size_t flag = 0;
+        const char *val = nullptr;
+        for (; flag < numPathFlags && !val; ++flag)
+            val = flagValue(pathFlags[flag].flag, i, argc, argv);
+        if (val) {
+            paths[flag - 1] = val;
+        } else if (arg == "--quick") {
             quickMode = true;
         } else if (arg == "--no-json") {
             writeJson = false;
         } else if (arg == "--out" && i + 1 < argc) {
             outPath = argv[++i];
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            tracePath = arg.substr(std::strlen("--trace-out="));
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            tracePath = argv[++i];
-        } else if (arg.rfind("--timeline-out=", 0) == 0) {
-            timelinePath = arg.substr(std::strlen("--timeline-out="));
-        } else if (arg == "--timeline-out" && i + 1 < argc) {
-            timelinePath = argv[++i];
-        } else if (arg.rfind("--critpath-out=", 0) == 0) {
-            critpathPath = arg.substr(std::strlen("--critpath-out="));
-        } else if (arg == "--critpath-out" && i + 1 < argc) {
-            critpathPath = argv[++i];
-        } else if (arg.rfind("--events-out=", 0) == 0) {
-            eventsPath = arg.substr(std::strlen("--events-out="));
-        } else if (arg == "--events-out" && i + 1 < argc) {
-            eventsPath = argv[++i];
-        } else if (arg.rfind("--report-out=", 0) == 0) {
-            reportPath = arg.substr(std::strlen("--report-out="));
-        } else if (arg == "--report-out" && i + 1 < argc) {
-            reportPath = argv[++i];
-        } else if (arg.rfind("--status-out=", 0) == 0) {
-            statusPath = arg.substr(std::strlen("--status-out="));
-        } else if (arg == "--status-out" && i + 1 < argc) {
-            statusPath = argv[++i];
-        } else if (arg.rfind("--jobs=", 0) == 0 ||
-                   (arg == "--jobs" && i + 1 < argc)) {
-            const char *val = arg == "--jobs"
-                                  ? argv[++i]
-                                  : arg.c_str() + std::strlen("--jobs=");
+        } else if ((val = flagValue("--jobs", i, argc, argv))) {
             char *end = nullptr;
             long v = std::strtol(val, &end, 10);
             if (!end || *end != '\0' || v < 0) {
@@ -382,32 +377,15 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
             }
             jobsCount = static_cast<unsigned>(v);
         } else if (arg == "--help" || arg == "-h") {
-            std::printf("usage: %s [--quick] [--no-json] "
-                        "[--out <path>] [--trace-out <path>] "
-                        "[--timeline-out <path>] "
-                        "[--critpath-out <path>] "
-                        "[--events-out <path>] "
-                        "[--report-out <path>] "
-                        "[--status-out <path>] [--jobs <n>]\n"
-                        "  --trace-out  record the protocol trace and "
-                        "write Chrome/Perfetto JSON to <path>\n"
-                        "  --timeline-out  sample the metric timeline "
-                        "and write its CSV to <path> (with "
-                        "--trace-out, counter tracks land in the "
-                        "trace JSON too)\n"
-                        "  --critpath-out  profile stall attribution "
-                        "and write the critical-path Perfetto JSON "
-                        "to <path>\n"
-                        "  --events-out  record the structured event "
-                        "log and write the merged JSONL to <path>\n"
-                        "  --report-out  write the unified run report "
-                        "JSON to <path> (implies the event log)\n"
-                        "  --status-out  stream live campaign "
-                        "progress snapshots to <path> "
-                        "(scripts/specrt_top.py tails it)\n"
-                        "  --jobs       campaign worker threads "
-                        "(0 = all host cores; default 1)\n",
+            std::printf("usage: %s [--quick] [--no-json] [--out <path>]",
                         argv[0]);
+            for (const PathFlag &f : pathFlags)
+                std::printf(" [%s <path>]", f.flag);
+            std::printf(" [--jobs <n>]\n");
+            for (const PathFlag &f : pathFlags)
+                std::printf("  %s  %s\n", f.flag, f.help);
+            std::printf("  --jobs  campaign worker threads (0 = all "
+                        "host cores; default 1)\n");
             return 0;
         } else {
             std::fprintf(stderr, "%s: unknown argument '%s'\n",
@@ -415,95 +393,34 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
             return 2;
         }
     }
+    statusPath = paths[statusFlag];
+    const std::string &reportPath = paths[reportFlag];
 
-    if (!tracePath.empty())
-        trace::buffer().enable();
-    if (!timelinePath.empty())
-        timeline::current().enable();
-    if (!critpathPath.empty())
-        critpath::current().enable();
-    if (!eventsPath.empty() || !reportPath.empty()) {
-        obs::log().enable();
-        obs::refreshEnabled();
-    }
+    obs::Recorders &obsRec = SimContext::current().recorders();
+    for (size_t c = 0; c < obs::numArtifacts; ++c)
+        if (!paths[c].empty())
+            obsRec.enable(static_cast<obs::Consumer>(c));
+    if (!reportPath.empty())
+        obsRec.enable(obs::Consumer::Events);
 
     auto t0 = std::chrono::steady_clock::now();
     int rc = body();
     auto t1 = std::chrono::steady_clock::now();
 
-    const timeline::Timeline &tl = timeline::current();
-    if (!tracePath.empty()) {
-        const timeline::Timeline *tlp =
-            tl.numSamples() ? &tl : nullptr;
-        if (trace::exportChromeTraceFile(trace::buffer(), tracePath,
-                                         tlp)) {
-            std::printf("[trace] wrote %" PRIu64 " records to %s\n",
-                        trace::buffer().recorded(),
-                        tracePath.c_str());
-        } else {
-            std::fprintf(stderr, "%s: failed to write trace to %s\n",
-                         name, tracePath.c_str());
-            if (rc == 0)
-                rc = 1;
-        }
+    for (size_t c = 0; c < obs::numArtifacts; ++c) {
+        if (!paths[c].empty() &&
+            !obsRec.write(static_cast<obs::Consumer>(c), paths[c],
+                          stdout))
+            rc = rc ? rc : 1;
     }
-
-    if (!timelinePath.empty()) {
-        std::ofstream os(timelinePath, std::ios::trunc);
-        if (os)
-            os << tl.csv();
-        if (os) {
-            std::printf("[timeline] wrote %zu samples x %zu series "
-                        "to %s\n",
-                        tl.numSamples(), tl.numSeries(),
-                        timelinePath.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "%s: failed to write timeline to %s\n",
-                         name, timelinePath.c_str());
-            if (rc == 0)
-                rc = 1;
-        }
-    }
-
-    const critpath::Recorder &cp = critpath::current();
-    if (!critpathPath.empty()) {
-        std::ofstream os(critpathPath, std::ios::trunc);
-        if (os)
-            os << cp.perfettoJson();
-        if (os) {
-            std::printf("[critpath] wrote %" PRIu64
-                        " txn records over %" PRIu64 " runs to %s\n",
-                        cp.numTxns(), cp.numRuns(),
-                        critpathPath.c_str());
-            std::string line = cp.summaryLine();
-            if (!line.empty())
-                std::printf("[critpath] %s\n", line.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "%s: failed to write critpath report to %s\n",
-                         name, critpathPath.c_str());
-            if (rc == 0)
-                rc = 1;
-        }
-    }
-
-    const obs::EventLog &ev = obs::log();
-    if (!eventsPath.empty()) {
-        std::ofstream os(eventsPath, std::ios::trunc);
-        if (os)
-            os << ev.jsonl();
-        if (os) {
-            std::printf("[events] wrote %zu event lines to %s\n",
-                        ev.size(), eventsPath.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "%s: failed to write event log to %s\n",
-                         name, eventsPath.c_str());
-            if (rc == 0)
-                rc = 1;
-        }
-    }
+    const timeline::Timeline &tl = obsRec.timeline;
+    const critpath::Recorder &cp = obsRec.critpath;
+    const obs::EventLog &ev = obsRec.events;
+    const std::string &timelinePath = paths[timelineFlag];
+    const std::string &critpathPath = paths[critpathFlag];
+    const std::string &eventsPath = paths[eventsFlag];
+    if (!critpathPath.empty() && !cp.summaryLine().empty())
+        std::printf("[critpath] %s\n", cp.summaryLine().c_str());
 
     double wallMs =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -607,9 +524,8 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
                     SimContext::current().arenaHighWater())
         << ",\n";
     if constexpr (profileEnabled) {
-        // SPECRT_PROFILE builds: the host-side profile (per-EventKind
-        // fired-event histogram + scoped timers), previously
-        // stderr-only, rides along in the telemetry record.
+        // SPECRT_PROFILE builds: the per-EventKind fired-event
+        // histogram rides along in the telemetry record.
         const prof::Registry &reg = prof::Registry::instance();
         const auto &hist = reg.eventHist();
         rec << "    \"profile\": {\"events\": {";
@@ -621,14 +537,6 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
                 << jsonEscape(eventKindName(
                        static_cast<EventKind>(k)))
                 << "\": " << hist[k];
-            firstKey = false;
-        }
-        rec << "}, \"timers\": {";
-        firstKey = true;
-        for (const prof::Counter *c : reg.counters()) {
-            rec << (firstKey ? "" : ", ") << "\""
-                << jsonEscape(c->name) << "\": {\"hits\": " << c->hits
-                << ", \"ns\": " << c->ns << "}";
             firstKey = false;
         }
         rec << "}},\n";

@@ -20,6 +20,10 @@
  *                 through bench::runJobs() (0 = all host cores;
  *                 default 1 so the perf gate's ticks/s keeps
  *                 measuring a single simulator instance)
+ *   --trace-out <path>  record the protocol trace and write its
+ *                 Chrome/Perfetto JSON to <path>
+ *   --critpath-out <path>  profile stall attribution and write the
+ *                 critical-path Perfetto JSON to <path>
  *   --timeline-out <path>  enable the metric timeline
  *                 (sim/timeline.hh) and write its CSV to <path>;
  *                 with --trace-out, the sampled series also land in
@@ -156,9 +160,11 @@ void setJobs(unsigned n);
 /**
  * Fan jobs 0..n-1 across jobs() workers via campaign::run. Each job
  * gets a private Telemetry shard (telemetry() resolves to it inside
- * the job); shards are merged into the process accumulator in job-id
- * order after all jobs finish, so the JSON record does not depend on
- * --jobs. Job failures are reported in the returned outcomes, not
+ * the job) and, in its context, every observability consumer the
+ * calling context has on; telemetry shards and the jobs' recorders
+ * are merged into the caller's in job-id order after all jobs
+ * finish, so neither the JSON record nor any --*-out artifact
+ * depends on --jobs. Job failures are reported in the returned outcomes, not
  * thrown.
  */
 std::vector<campaign::JobOutcome> runJobs(size_t n,

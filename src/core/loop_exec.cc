@@ -40,7 +40,7 @@ beginTraceLoop(Tick tick, const char *mode, uint64_t iters)
 {
     if (!trace::enabled())
         return;
-    trace::buffer().setLoop(trace::nextLoopId());
+    trace::buffer().setLoop(trace::buffer().nextLoopId());
     traceMark(trace::TraceOp::LoopBegin, tick, mode, iters);
 }
 
@@ -1008,18 +1008,12 @@ RunResult
 LoopExecutor::run()
 {
     setup();
-    // Protocol tracing: the config knob wins, the environment
-    // (SPECRT_TRACE) can switch it on for any driver that never
-    // touches cfg.trace. Neither affects modeled timing. The metric
-    // timeline follows the same contract (SPECRT_TIMELINE), as does
-    // the critical-path profiler (SPECRT_CRITPATH).
-    trace::applyConfig(cfg.trace);
-    trace::maybeEnableFromEnv();
-    timeline::applyConfig(cfg.timeline);
-    timeline::maybeEnableFromEnv();
-    critpath::applyConfig(cfg.critpath);
-    critpath::maybeEnableFromEnv();
-    obs::maybeEnableFromEnv();
+    // Observability: the environment can switch any consumer on for
+    // any driver (SimContext::applyObsEnv), cfg.critpath the
+    // profiler. Neither affects modeled timing.
+    SimContext::current().applyObsEnv();
+    if (cfg.critpath.enabled)
+        critpath::current().enable();
     {
         // Publish the machine fingerprint so campaign outcomes can
         // name the exact config a failed job ran (replayability).

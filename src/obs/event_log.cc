@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "sim/sim_context.hh"
@@ -13,14 +12,13 @@ namespace specrt
 namespace obs
 {
 
-thread_local bool tlsEventsOn = false;
-
 // --- EventLog ---------------------------------------------------------
 
 void
 EventLog::enable(size_t capacity)
 {
     on = true;
+    refresh();
     if (capacity == 0)
         capacity = 1;
     if (capacity == cap)
@@ -43,6 +41,7 @@ void
 EventLog::disable()
 {
     on = false;
+    refresh();
 }
 
 void
@@ -99,35 +98,7 @@ EventLog::jsonl() const
 EventLog &
 log()
 {
-    return SimContext::current().eventsData();
-}
-
-void
-refreshEnabled()
-{
-    tlsEventsOn = SimContext::current().eventsData().isOn();
-}
-
-bool
-maybeEnableFromEnv()
-{
-    SimContext &ctx = SimContext::current();
-    if (ctx.eventsEnvChecked) {
-        refreshEnabled();
-        return enabled();
-    }
-    ctx.eventsEnvChecked = true;
-    const char *env = std::getenv("SPECRT_EVENTS");
-    if (env && std::strcmp(env, "0") != 0) {
-        ctx.eventsData().enable();
-        if (std::strcmp(env, "1") != 0)
-            ctx.eventsOutPath = env;
-        if (const char *out = std::getenv("SPECRT_EVENTS_OUT"))
-            ctx.eventsOutPath = out;
-        ctx.eventsExportOnDestroy = !ctx.eventsOutPath.empty();
-    }
-    refreshEnabled();
-    return enabled();
+    return SimContext::current().recorders().events;
 }
 
 // --- JSON helpers -----------------------------------------------------

@@ -27,13 +27,13 @@
  * current SimContext owns one, campaign jobs each fill their own,
  * and merge() folds job logs into the process-level one in job-id
  * order, so the merged JSONL is byte-identical across `--jobs N`.
- * The hot-path guard follows the trace.hh discipline -- a
- * thread-local latch makes the disabled case one predictable branch,
- * and every typed emitter below is free when the log is off.
+ * The hot-path guard is the observability hub's latch (obs/hub.hh):
+ * every typed emitter below is one predictable branch when the log
+ * is off.
  *
- * File sink: SPECRT_EVENTS / SPECRT_EVENTS_OUT turn the log on for
- * any driver (the context exports the JSONL when it dies, mirroring
- * SPECRT_TRACE); bench binaries take --events-out.
+ * File sink: SPECRT_EVENTS=1 turns the log on for any driver,
+ * SPECRT_EVENTS=<path> also exports the JSONL there when the context
+ * dies (sim/sim_context.hh); bench binaries take --events-out.
  */
 
 #ifndef SPECRT_OBS_EVENT_LOG_HH
@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/hub.hh"
 #include "sim/types.hh"
 
 namespace specrt
@@ -111,24 +112,8 @@ class EventLog
 /** The current context's event log (per-instance, like the trace). */
 EventLog &log();
 
-/** Mirror of EventLog::isOn() for the thread's current context. */
-extern thread_local bool tlsEventsOn;
-
 /** Cheap hot-path guard; true when the current log collects. */
-inline bool enabled() { return tlsEventsOn; }
-
-/** Re-sync the thread-local latch with the current context. */
-void refreshEnabled();
-
-/**
- * Apply SPECRT_EVENTS / SPECRT_EVENTS_OUT to the current context,
- * once per context; returns enabled(). SPECRT_EVENTS unset or "0"
- * leaves the log off; "1" turns it on; any other value turns it on
- * AND names the output file (SPECRT_EVENTS_OUT overrides). With an
- * output path set, the context exports the JSONL when it dies
- * (mirrors SPECRT_TRACE / SPECRT_TIMELINE / SPECRT_CRITPATH).
- */
-bool maybeEnableFromEnv();
+inline bool enabled() { return on(Consumer::Events); }
 
 // --- JSON helpers (shared with obs/report.cc) -------------------------
 

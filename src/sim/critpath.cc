@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
-#include "sim/config.hh"
 #include "sim/sim_context.hh"
 
 namespace specrt
@@ -13,32 +11,24 @@ namespace specrt
 namespace critpath
 {
 
-thread_local bool tlsCritpathOn = false;
-
 Recorder &
 current()
 {
-    return SimContext::current().critpathData();
-}
-
-void
-refreshEnabled()
-{
-    tlsCritpathOn = SimContext::current().critpathData().isOn();
+    return SimContext::current().recorders().critpath;
 }
 
 void
 Recorder::enable()
 {
     on = true;
-    refreshEnabled();
+    obs::refresh();
 }
 
 void
 Recorder::disable()
 {
     on = false;
-    refreshEnabled();
+    obs::refresh();
 }
 
 // --- collection -------------------------------------------------------
@@ -343,51 +333,6 @@ Recorder::perfettoJson() const
     }
     out += "}}}\n";
     return out;
-}
-
-// --- config / env wiring ----------------------------------------------
-
-void
-applyConfig(const CritpathConfig &cc)
-{
-    if (!cc.enabled)
-        return;
-    SimContext &ctx = SimContext::current();
-    ctx.critpathData().enable();
-    if (!cc.outPath.empty())
-        ctx.critpathOutPath = cc.outPath;
-}
-
-namespace
-{
-
-/** The environment, parsed once per process (thread-safe). */
-const CritpathConfig &
-envCritpathConfig()
-{
-    static const CritpathConfig cc = CritpathConfig::fromEnv();
-    return cc;
-}
-
-} // namespace
-
-bool
-maybeEnableFromEnv()
-{
-    SimContext &ctx = SimContext::current();
-    if (!ctx.critpathEnvChecked) {
-        ctx.critpathEnvChecked = true;
-        const CritpathConfig &cc = envCritpathConfig();
-        if (cc.enabled) {
-            applyConfig(cc);
-            // Like SPECRT_TRACE: the report lands when the context
-            // dies, so env-profiled runs leave the file behind
-            // without the code under test knowing.
-            if (!ctx.critpathOutPath.empty())
-                ctx.critpathExportOnDestroy = true;
-        }
-    }
-    return enabled();
 }
 
 std::string

@@ -1,7 +1,5 @@
 #include "sim/profile.hh"
 
-#include <iomanip>
-
 namespace specrt
 {
 
@@ -28,57 +26,6 @@ Registry::instance()
 {
     static Registry r;
     return r;
-}
-
-Counter &
-Registry::counter(const std::string &name)
-{
-    for (Counter *c : ordered) {
-        if (c->name == name)
-            return *c;
-    }
-    // Counters are never destroyed: SPECRT_PROF_SCOPE caches
-    // references in function-local statics.
-    auto *c = new Counter{name, 0, 0};
-    ordered.push_back(c);
-    return *c;
-}
-
-std::vector<const Counter *>
-Registry::counters() const
-{
-    return {ordered.begin(), ordered.end()};
-}
-
-void
-Registry::report(std::ostream &os) const
-{
-    os << "profile.timers:\n";
-    for (const Counter *c : ordered) {
-        double ms = static_cast<double>(c->ns) / 1e6;
-        os << "  " << std::left << std::setw(28) << c->name
-           << std::right << std::setw(12) << c->hits << " hits"
-           << std::setw(12) << std::fixed << std::setprecision(3)
-           << ms << " ms\n";
-    }
-    os << "profile.events_fired:\n";
-    for (size_t k = 0; k < numEventKinds; ++k) {
-        if (!eventHist_[k])
-            continue;
-        os << "  " << std::left << std::setw(28)
-           << eventKindName(static_cast<EventKind>(k)) << std::right
-           << std::setw(12) << eventHist_[k] << "\n";
-    }
-}
-
-void
-Registry::reset()
-{
-    for (Counter *c : ordered) {
-        c->hits = 0;
-        c->ns = 0;
-    }
-    eventHist_.fill(0);
 }
 
 } // namespace prof

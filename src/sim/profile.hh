@@ -1,16 +1,11 @@
 /**
  * @file
- * Lightweight host-side profiling hooks for the simulator itself.
- *
- * Two facilities, both free when the compile-time flag is off:
- *
- *  - scoped timers: SPECRT_PROF_SCOPE("tag") accumulates host
- *    nanoseconds and hit counts per tag;
- *  - event-type histograms: the event engine counts fired events per
- *    EventKind, so "where do the ticks go" is answerable per run.
+ * Host-side profiling hook for the simulator itself: the event engine
+ * counts fired events per EventKind, so "where do the ticks go" is
+ * answerable per run (bench telemetry records the histogram).
  *
  * Enable with -DSPECRT_PROFILE=ON at configure time (defines the
- * SPECRT_PROFILE macro for the whole build). With the flag off every
+ * SPECRT_PROFILE macro for the whole build). With the flag off the
  * hook compiles to nothing; `profileEnabled` lets hot paths guard
  * with `if constexpr`.
  */
@@ -19,11 +14,8 @@
 #define SPECRT_SIM_PROFILE_HH
 
 #include <array>
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <ostream>
-#include <string>
-#include <vector>
 
 namespace specrt
 {
@@ -56,26 +48,11 @@ constexpr bool profileEnabled = false;
 namespace prof
 {
 
-/** One named timer: total host time and hit count. */
-struct Counter
-{
-    std::string name;
-    uint64_t hits = 0;
-    uint64_t ns = 0;
-};
-
-/**
- * Process-wide profile registry. Counter references returned by
- * counter() stay valid for the life of the process (callers cache
- * them in function-local statics via SPECRT_PROF_SCOPE).
- */
+/** Process-wide fired-event histogram. */
 class Registry
 {
   public:
     static Registry &instance();
-
-    /** Find or create the counter for @p name. */
-    Counter &counter(const std::string &name);
 
     /** Count one fired event of kind @p k. */
     void
@@ -90,64 +67,13 @@ class Registry
         return eventHist_;
     }
 
-    /** All counters, in creation order. */
-    std::vector<const Counter *> counters() const;
-
-    /** Human-readable report of timers + event histogram. */
-    void report(std::ostream &os) const;
-
-    /** Zero all counters and the histogram. */
-    void reset();
-
   private:
     Registry() = default;
 
-    std::vector<Counter *> ordered;
     std::array<uint64_t, numEventKinds> eventHist_ = {};
 };
 
-/** RAII timer adding its lifetime to a Counter. */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Counter &c)
-        : counter_(c), start(std::chrono::steady_clock::now())
-    {}
-
-    ~ScopedTimer()
-    {
-        auto end = std::chrono::steady_clock::now();
-        ++counter_.hits;
-        counter_.ns += static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                end - start)
-                .count());
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  private:
-    Counter &counter_;
-    std::chrono::steady_clock::time_point start;
-};
-
 } // namespace prof
-
-#ifdef SPECRT_PROFILE
-#define SPECRT_PROF_CONCAT2(a, b) a##b
-#define SPECRT_PROF_CONCAT(a, b) SPECRT_PROF_CONCAT2(a, b)
-/** Time the enclosing scope under @p tag (a string literal). */
-#define SPECRT_PROF_SCOPE(tag)                                          \
-    static ::specrt::prof::Counter &SPECRT_PROF_CONCAT(                 \
-        specrtProfCounter_, __LINE__) =                                 \
-        ::specrt::prof::Registry::instance().counter(tag);              \
-    ::specrt::prof::ScopedTimer SPECRT_PROF_CONCAT(specrtProfTimer_,    \
-                                                   __LINE__)(           \
-        SPECRT_PROF_CONCAT(specrtProfCounter_, __LINE__))
-#else
-#define SPECRT_PROF_SCOPE(tag) do {} while (0)
-#endif
 
 } // namespace specrt
 

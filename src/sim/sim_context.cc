@@ -1,9 +1,11 @@
 #include "sim/sim_context.hh"
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <mutex>
 
-#include "sim/stall.hh"
 #include "sim/trace_export.hh"
 
 namespace specrt
@@ -28,90 +30,219 @@ threadDefault()
 
 } // namespace
 
+// --- observability hub ------------------------------------------------
+
+namespace obs
+{
+
+thread_local constinit uint8_t tlsOn = 0;
+
+namespace
+{
+
+std::string
+counted(uint64_t n, const char *what)
+{
+    return std::to_string(n) + " " + what;
+}
+
+/** One artifact consumer: its environment knobs and its file. */
+struct Artifact
+{
+    const char *name;
+    /** "1" = on; another value = on, exporting to that path. */
+    const char *env;
+    /** Geometry knob (Recorders::enable's size), or null. */
+    const char *sizeEnv;
+    bool (*isOn)(const Recorders &);
+    /** The geometry enableLike() copies (0 = none). */
+    uint64_t (*size)(const Recorders &);
+    bool (*hasData)(const Recorders &);
+    std::string (*render)(const Recorders &);
+    /** What write() reports it wrote, e.g.\ "73 samples". */
+    std::string (*describe)(const Recorders &);
+};
+
+/** Indexed by Consumer. */
+const Artifact artifacts[numArtifacts] = {
+    {"trace", "SPECRT_TRACE", "SPECRT_TRACE_CAPACITY",
+     [](const Recorders &r) { return r.trace.isOn(); },
+     [](const Recorders &r) { return uint64_t(r.trace.capacity()); },
+     [](const Recorders &r) { return r.trace.recorded() != 0; },
+     [](const Recorders &r) {
+         // The timeline's series ride along as counter tracks, and
+         // the current context's critical path as an async track.
+         return trace::chromeTraceJson(
+             r.trace, r.timeline.numSamples() ? &r.timeline : nullptr);
+     },
+     [](const Recorders &r) { return counted(r.trace.size(), "records"); }},
+    {"timeline", "SPECRT_TIMELINE", "SPECRT_TIMELINE_INTERVAL",
+     [](const Recorders &r) { return r.timeline.isOn(); },
+     [](const Recorders &r) { return uint64_t(r.timeline.interval()); },
+     [](const Recorders &r) { return r.timeline.numSamples() != 0; },
+     [](const Recorders &r) { return r.timeline.csv(); },
+     [](const Recorders &r) {
+         return counted(r.timeline.numSamples(), "samples x ") +
+                counted(r.timeline.numSeries(), "series");
+     }},
+    {"critpath", "SPECRT_CRITPATH", nullptr,
+     [](const Recorders &r) { return r.critpath.isOn(); },
+     [](const Recorders &) { return uint64_t(0); },
+     [](const Recorders &r) { return r.critpath.hasData(); },
+     [](const Recorders &r) { return r.critpath.perfettoJson(); },
+     [](const Recorders &r) {
+         return counted(r.critpath.numTxns(), "txn records over ") +
+                counted(r.critpath.numRuns(), "runs");
+     }},
+    {"events", "SPECRT_EVENTS", nullptr,
+     [](const Recorders &r) { return r.events.isOn(); },
+     [](const Recorders &r) { return uint64_t(r.events.capacity()); },
+     [](const Recorders &r) { return r.events.recorded() != 0; },
+     [](const Recorders &r) { return r.events.jsonl(); },
+     [](const Recorders &r) {
+         return counted(r.events.size(), "event lines");
+     }},
+};
+
+const Artifact &
+artifact(Consumer c)
+{
+    SPECRT_ASSERT(static_cast<size_t>(c) < numArtifacts,
+                  "consumer %d writes no artifact", static_cast<int>(c));
+    return artifacts[static_cast<size_t>(c)];
+}
+
+} // namespace
+
+void
+refresh()
+{
+    const SimContext &ctx = SimContext::current();
+    unsigned mask = ctx.stallEngine
+                        ? 1u << static_cast<unsigned>(Consumer::Stall)
+                        : 0u;
+    for (size_t i = 0; i < numArtifacts; ++i)
+        if (artifacts[i].isOn(ctx.recorders()))
+            mask |= 1u << i;
+    tlsOn = static_cast<uint8_t>(mask);
+}
+
+void
+Recorders::enable(Consumer c, uint64_t size)
+{
+    switch (c) {
+      case Consumer::Trace:
+        trace.enable(size ? size : trace::TraceBuffer::defaultCapacity);
+        break;
+      case Consumer::Timeline:
+        timeline.enable(size); // 0 = defaultIntervalTicks
+        break;
+      case Consumer::Critpath:
+        critpath.enable();
+        break;
+      case Consumer::Events:
+        events.enable(size ? size : EventLog::defaultCapacity);
+        break;
+      case Consumer::Stall:
+        panic("the stall engine is installed per run, not enabled");
+    }
+}
+
+void
+Recorders::enableLike(const Recorders &like)
+{
+    for (size_t i = 0; i < numArtifacts; ++i)
+        if (artifacts[i].isOn(like))
+            enable(static_cast<Consumer>(i), artifacts[i].size(like));
+}
+
+void
+Recorders::merge(const Recorders &shard)
+{
+    trace.merge(shard.trace);
+    timeline.merge(shard.timeline);
+    critpath.merge(shard.critpath);
+    events.merge(shard.events);
+}
+
+bool
+Recorders::hasData(Consumer c) const
+{
+    return artifact(c).hasData(*this);
+}
+
+std::string
+Recorders::render(Consumer c) const
+{
+    return artifact(c).render(*this);
+}
+
+bool
+Recorders::write(Consumer c, const std::string &path,
+                 std::FILE *log) const
+{
+    const Artifact &a = artifact(c);
+    std::ofstream os(path, std::ios::trunc);
+    if (os)
+        os << a.render(*this);
+    if (!os) {
+        std::fprintf(stderr, "[%s] failed to write %s\n", a.name,
+                     path.c_str());
+        return false;
+    }
+    std::fprintf(log, "[%s] wrote %s to %s\n", a.name,
+                 a.describe(*this).c_str(), path.c_str());
+    return true;
+}
+
+} // namespace obs
+
+void
+SimContext::applyObsEnv()
+{
+    if (obsEnvApplied)
+        return;
+    obsEnvApplied = true;
+    for (size_t i = 0; i < obs::numArtifacts; ++i) {
+        const obs::Artifact &a = obs::artifacts[i];
+        const char *v = std::getenv(a.env);
+        if (!v || !*v || std::strcmp(v, "0") == 0)
+            continue;
+        uint64_t size = 0;
+        if (const char *sz = a.sizeEnv ? std::getenv(a.sizeEnv) : nullptr) {
+            char *end = nullptr;
+            unsigned long long n = std::strtoull(sz, &end, 10);
+            if (*end == '\0' && n > 0)
+                size = n;
+            else
+                warn("ignoring bad %s '%s'", a.sizeEnv, sz);
+        }
+        obsRec.enable(static_cast<obs::Consumer>(i), size);
+        if (std::strcmp(v, "1") != 0)
+            obsOutPath[i] = v;
+    }
+}
+
 SimContext::~SimContext()
 {
     // Hand the arena back to the recycle pool first: slabs and
     // freelists stay warm for the next campaign job on any worker.
     Arena::recycle(std::move(arena));
 
-    bool wantTrace = traceExportOnDestroy && !traceOutPath.empty() &&
-                     traceBuf.recorded() != 0;
-    bool wantTimeline = timelineExportOnDestroy &&
-                        !timelineOutPath.empty() &&
-                        timelineTl.numSamples() != 0;
-    bool wantCritpath = critpathExportOnDestroy &&
-                        !critpathOutPath.empty() &&
-                        critpathRec.hasData();
-    bool wantEvents = eventsExportOnDestroy &&
-                      !eventsOutPath.empty() &&
-                      eventsLog.recorded() != 0;
-    if (!wantTrace && !wantTimeline && !wantCritpath && !wantEvents)
-        return;
-    // One exporter at a time: several env-traced contexts may die
-    // concurrently (campaign jobs), and the files must never hold an
+    // One exporter at a time: several env-observed contexts may die
+    // concurrently (campaign jobs), and a file must never hold an
     // interleaving of two exports. The mutex has static storage, so
     // it outlives every thread-local context, including the main
     // thread's default one.
     static std::mutex exportMutex;
-    std::lock_guard<std::mutex> lock(exportMutex);
-    if (wantTrace) {
-        // An env-traced context also folds its timeline counters
-        // into the trace JSON, so one file shows both.
-        const timeline::Timeline *tl =
-            timelineTl.numSamples() ? &timelineTl : nullptr;
-        if (trace::exportChromeTraceFile(traceBuf, traceOutPath,
-                                         tl)) {
-            std::fprintf(stderr, "[trace] wrote %zu records to %s\n",
-                         traceBuf.size(), traceOutPath.c_str());
-        } else {
-            std::fprintf(stderr, "[trace] failed to write %s\n",
-                         traceOutPath.c_str());
-        }
-    }
-    if (wantTimeline) {
-        std::FILE *f = std::fopen(timelineOutPath.c_str(), "w");
-        if (f) {
-            std::string csv = timelineTl.csv();
-            std::fwrite(csv.data(), 1, csv.size(), f);
-            std::fclose(f);
-            std::fprintf(stderr,
-                         "[timeline] wrote %zu samples to %s\n",
-                         timelineTl.numSamples(),
-                         timelineOutPath.c_str());
-        } else {
-            std::fprintf(stderr, "[timeline] failed to write %s\n",
-                         timelineOutPath.c_str());
-        }
-    }
-    if (wantCritpath) {
-        std::FILE *f = std::fopen(critpathOutPath.c_str(), "w");
-        if (f) {
-            std::string json = critpathRec.perfettoJson();
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
-            std::fprintf(stderr,
-                         "[critpath] wrote %llu txn records to %s\n",
-                         static_cast<unsigned long long>(
-                             critpathRec.numTxns()),
-                         critpathOutPath.c_str());
-        } else {
-            std::fprintf(stderr, "[critpath] failed to write %s\n",
-                         critpathOutPath.c_str());
-        }
-    }
-    if (wantEvents) {
-        std::FILE *f = std::fopen(eventsOutPath.c_str(), "w");
-        if (f) {
-            std::string lines = eventsLog.jsonl();
-            std::fwrite(lines.data(), 1, lines.size(), f);
-            std::fclose(f);
-            std::fprintf(stderr,
-                         "[events] wrote %zu event lines to %s\n",
-                         eventsLog.size(), eventsOutPath.c_str());
-        } else {
-            std::fprintf(stderr, "[events] failed to write %s\n",
-                         eventsOutPath.c_str());
-        }
+    std::unique_lock<std::mutex> lock(exportMutex, std::defer_lock);
+    for (size_t i = 0; i < obs::numArtifacts; ++i) {
+        auto c = static_cast<obs::Consumer>(i);
+        if (obsOutPath[i].empty() || !obsRec.hasData(c))
+            continue;
+        if (!lock.owns_lock())
+            lock.lock();
+        obsRec.write(c, obsOutPath[i], stderr);
     }
 }
 
@@ -153,21 +284,13 @@ SimContext::reseed(uint64_t seed)
 ScopedSimContext::ScopedSimContext(SimContext &ctx) : prev(tlsCurrent)
 {
     tlsCurrent = &ctx;
-    trace::refreshEnabled();
-    timeline::refreshEnabled();
-    critpath::refreshEnabled();
-    stall::refreshEnabled();
-    obs::refreshEnabled();
+    obs::refresh();
 }
 
 ScopedSimContext::~ScopedSimContext()
 {
     tlsCurrent = prev;
-    trace::refreshEnabled();
-    timeline::refreshEnabled();
-    critpath::refreshEnabled();
-    stall::refreshEnabled();
-    obs::refreshEnabled();
+    obs::refresh();
 }
 
 } // namespace specrt

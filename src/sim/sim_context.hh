@@ -14,8 +14,12 @@
  * A SimContext owns all of that state for one simulator instance:
  *
  *  - the log sink and throw-on-fatal flag (sim/logging.hh);
- *  - the protocol trace ring, its ambient attribution context, the
- *    requested output path, and the loop-id counter (sim/trace.hh);
+ *  - the observability hub: the recorders of the protocol trace
+ *    (sim/trace.hh), the metric timeline (sim/timeline.hh), the
+ *    critical-path recorder (sim/critpath.hh) and the event log
+ *    (obs/event_log.hh), the installed stall engine (sim/stall.hh),
+ *    and the artifact paths the environment asked for (obs/hub.hh
+ *    holds the consumer ids and the enable latch);
  *  - named deterministic RNG streams derived from a base seed
  *    (sim/random.hh).
  *
@@ -36,12 +40,15 @@
 #ifndef SPECRT_SIM_SIM_CONTEXT_HH
 #define SPECRT_SIM_SIM_CONTEXT_HH
 
+#include <array>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "obs/event_log.hh"
+#include "obs/hub.hh"
 #include "sim/arena.hh"
 #include "sim/critpath.hh"
 #include "sim/logging.hh"
@@ -59,6 +66,52 @@ namespace stall
 class Engine;
 }
 
+namespace obs
+{
+
+/**
+ * The recorders behind the hub's artifact consumers. A SimContext
+ * owns one set; bench::runJobs captures each campaign job's set and
+ * merges it into the process context's in job-id order, so every
+ * merged artifact is independent of --jobs.
+ */
+struct Recorders
+{
+    trace::TraceBuffer trace;
+    timeline::Timeline timeline;
+    critpath::Recorder critpath;
+    EventLog events;
+
+    /**
+     * Switch artifact consumer @p c on. @p size is its geometry --
+     * trace ring records, timeline interval in ticks, event-log
+     * lines -- and 0 picks the recorder's default.
+     */
+    void enable(Consumer c, uint64_t size = 0);
+
+    /** Switch on every consumer @p like has on, with its geometry. */
+    void enableLike(const Recorders &like);
+
+    /** Fold @p shard into each recorder by that recorder's merge(). */
+    void merge(const Recorders &shard);
+
+    /** @p c recorded anything. */
+    bool hasData(Consumer c) const;
+
+    /** The bytes of @p c's artifact file. */
+    std::string render(Consumer c) const;
+
+    /**
+     * Write @p c's artifact to @p path and report it on @p log
+     * ("[trace] wrote 16384 records to <path>", or the failure).
+     * @return success.
+     */
+    bool write(Consumer c, const std::string &path,
+               std::FILE *log) const;
+};
+
+} // namespace obs
+
 class SimContext
 {
   public:
@@ -66,8 +119,8 @@ class SimContext
     explicit SimContext(uint64_t seed = 0) : baseSeed(seed) {}
 
     /**
-     * Exports the trace ring to traceOutPath when the environment
-     * asked for it (traceExportOnDestroy). This happens in the
+     * Writes every artifact the environment named a file for
+     * (obsOutPath) that recorded anything. This happens in the
      * destructor -- not an atexit handler -- because the main
      * thread's default context is itself thread-local, and C++
      * destroys thread-locals before atexit handlers run.
@@ -91,82 +144,31 @@ class SimContext
     /** fatal()/panic() throw FatalError instead of terminating. */
     bool logThrowOnFatal = false;
 
-    // --- protocol trace (accessed by sim/trace.cc) --------------------
+    // --- observability hub (obs/hub.hh) --------------------------------
 
-    trace::TraceBuffer &traceBuffer() { return traceBuf; }
-    const trace::TraceBuffer &traceBuffer() const { return traceBuf; }
+    obs::Recorders &recorders() { return obsRec; }
+    const obs::Recorders &recorders() const { return obsRec; }
 
     /** Ambient (tick, node, elem, iter) for abort attribution. */
     trace::Ctx traceCtx;
-    /** Where to write the exported trace ("" = nowhere). */
-    std::string traceOutPath;
-    /** Loop ids handed out by trace::nextLoopId(). */
-    uint32_t traceNextLoopId = 0;
-    /** SPECRT_TRACE has been applied to this context already. */
-    bool traceEnvChecked = false;
+
     /**
-     * Export the ring to traceOutPath when this context dies. Set
-     * only by the SPECRT_TRACE env path, so a process whose run was
-     * env-traced leaves the file behind without the code under test
-     * knowing about tracing. Concurrent traced contexts (campaign
-     * jobs under SPECRT_TRACE) export one at a time; the last one to
-     * die wins the file, matching CI's serial rerun semantics.
+     * Apply the environment to this context, once: SPECRT_TRACE,
+     * SPECRT_TIMELINE, SPECRT_CRITPATH and SPECRT_EVENTS each leave
+     * their consumer alone when unset, "" or "0", switch it on when
+     * "1", and otherwise switch it on and name the file its artifact
+     * is written to when this context dies (obsOutPath).
+     * SPECRT_TRACE_CAPACITY and SPECRT_TIMELINE_INTERVAL set the
+     * geometry; a bad value warns and keeps the default.
+     * LoopExecutor::run() calls this, so every driver -- tests
+     * included -- honours the environment without knowing about it.
+     * Concurrent contexts export one at a time; the last one to die
+     * wins the file, matching CI's serial rerun semantics.
      */
-    bool traceExportOnDestroy = false;
+    void applyObsEnv();
 
-    // --- metric timeline (accessed by sim/timeline.cc) ----------------
-
-    timeline::Timeline &timelineData() { return timelineTl; }
-    const timeline::Timeline &timelineData() const
-    {
-        return timelineTl;
-    }
-
-    /** Where to write the timeline CSV ("" = nowhere). */
-    std::string timelineOutPath;
-    /** SPECRT_TIMELINE has been applied to this context already. */
-    bool timelineEnvChecked = false;
-    /**
-     * Write the CSV to timelineOutPath when this context dies; set
-     * only by the SPECRT_TIMELINE env path (same contract as
-     * traceExportOnDestroy).
-     */
-    bool timelineExportOnDestroy = false;
-
-    // --- critical path / stall attribution (sim/critpath.cc) ----------
-
-    critpath::Recorder &critpathData() { return critpathRec; }
-    const critpath::Recorder &critpathData() const
-    {
-        return critpathRec;
-    }
-
-    /** Where to write the critpath JSON ("" = nowhere). */
-    std::string critpathOutPath;
-    /** SPECRT_CRITPATH has been applied to this context already. */
-    bool critpathEnvChecked = false;
-    /**
-     * Write the Perfetto report to critpathOutPath when this context
-     * dies; set only by the SPECRT_CRITPATH env path (same contract
-     * as traceExportOnDestroy).
-     */
-    bool critpathExportOnDestroy = false;
-
-    // --- structured event log (accessed by obs/event_log.cc) ----------
-
-    obs::EventLog &eventsData() { return eventsLog; }
-    const obs::EventLog &eventsData() const { return eventsLog; }
-
-    /** Where to write the event JSONL ("" = nowhere). */
-    std::string eventsOutPath;
-    /** SPECRT_EVENTS has been applied to this context already. */
-    bool eventsEnvChecked = false;
-    /**
-     * Write the JSONL to eventsOutPath when this context dies; set
-     * only by the SPECRT_EVENTS env path (same contract as
-     * traceExportOnDestroy).
-     */
-    bool eventsExportOnDestroy = false;
+    /** Export path per artifact consumer ("" = none), by Consumer. */
+    std::array<std::string, obs::numArtifacts> obsOutPath;
 
     /**
      * Fingerprint (hex MachineConfig::fingerprint()) of the last
@@ -235,10 +237,8 @@ class SimContext
     void reseed(uint64_t seed);
 
   private:
-    trace::TraceBuffer traceBuf;
-    timeline::Timeline timelineTl;
-    critpath::Recorder critpathRec;
-    obs::EventLog eventsLog;
+    obs::Recorders obsRec;
+    bool obsEnvApplied = false;
     std::map<std::string, Rng> rngs;
     std::unique_ptr<Arena> arena;
 };

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
-#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/sim_context.hh"
 
@@ -15,18 +13,10 @@ namespace specrt
 namespace timeline
 {
 
-thread_local bool tlsTimelineOn = false;
-
 Timeline &
 current()
 {
-    return SimContext::current().timelineData();
-}
-
-void
-refreshEnabled()
-{
-    tlsTimelineOn = SimContext::current().timelineData().isOn();
+    return SimContext::current().recorders().timeline;
 }
 
 // --- Timeline ---------------------------------------------------------
@@ -38,14 +28,14 @@ Timeline::enable(Tick interval)
         interval = defaultIntervalTicks;
     intervalTicks = interval;
     on = true;
-    refreshEnabled();
+    obs::refresh();
 }
 
 void
 Timeline::disable()
 {
     on = false;
-    refreshEnabled();
+    obs::refresh();
 }
 
 size_t
@@ -385,53 +375,6 @@ RunSampler::finish()
     // and a dead weak_ptr, so they no-op if the queue outlives us.
     takeSample(*st);
     st.reset();
-}
-
-// --- config / env wiring ----------------------------------------------
-
-void
-applyConfig(const TimelineConfig &tc)
-{
-    if (!tc.enabled)
-        return;
-    SimContext &ctx = SimContext::current();
-    ctx.timelineData().enable(tc.intervalTicks
-                                  ? tc.intervalTicks
-                                  : Timeline::defaultIntervalTicks);
-    if (!tc.outPath.empty())
-        ctx.timelineOutPath = tc.outPath;
-}
-
-namespace
-{
-
-/** The environment, parsed once per process (thread-safe). */
-const TimelineConfig &
-envTimelineConfig()
-{
-    static const TimelineConfig tc = TimelineConfig::fromEnv();
-    return tc;
-}
-
-} // namespace
-
-bool
-maybeEnableFromEnv()
-{
-    SimContext &ctx = SimContext::current();
-    if (!ctx.timelineEnvChecked) {
-        ctx.timelineEnvChecked = true;
-        const TimelineConfig &tc = envTimelineConfig();
-        if (tc.enabled) {
-            applyConfig(tc);
-            // Like SPECRT_TRACE: the CSV lands when the context
-            // dies, so env-sampled runs leave the file behind
-            // without the code under test knowing.
-            if (!ctx.timelineOutPath.empty())
-                ctx.timelineExportOnDestroy = true;
-        }
-    }
-    return enabled();
 }
 
 } // namespace timeline

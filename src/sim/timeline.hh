@@ -29,10 +29,9 @@
  * merged into the trace_export JSON on the same timebase, and
  * hotSummary() appended to the abort-attribution report.
  *
- * The hot-path feeds (dirAccess() etc.) follow the trace.hh pattern:
- * a thread-local enable latch makes the disabled case one predictable
- * branch, and refreshEnabled() re-syncs the latch when the current
- * context changes or the timeline is (en|dis)abled.
+ * The hot-path feeds (dirAccess() etc.) are guarded by the
+ * observability hub's latch (obs/hub.hh): the disabled case is one
+ * predictable branch.
  */
 
 #ifndef SPECRT_SIM_TIMELINE_HH
@@ -46,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/hub.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -53,19 +53,11 @@
 namespace specrt
 {
 
-struct TimelineConfig;
-
 namespace timeline
 {
 
-/** Mirror of Timeline::isOn() for the thread's current context. */
-extern thread_local bool tlsTimelineOn;
-
 /** Cheap hot-path guard; true when the current timeline collects. */
-inline bool enabled() { return tlsTimelineOn; }
-
-/** Re-sync the thread-local latch with the current context. */
-void refreshEnabled();
+inline bool enabled() { return obs::on(obs::Consumer::Timeline); }
 
 /** One heatmap cell: contention counters for (home, bucket). */
 struct HeatCell
@@ -310,19 +302,6 @@ class RunSampler
 
     std::shared_ptr<State> st;
 };
-
-// --- config / env wiring ----------------------------------------------
-
-/** Enable the current context's timeline per @p cfg (no-op if off). */
-void applyConfig(const TimelineConfig &cfg);
-
-/**
- * Apply SPECRT_TIMELINE / SPECRT_TIMELINE_OUT /
- * SPECRT_TIMELINE_INTERVAL to the current context, once per context;
- * returns enabled(). With an output path set, the context exports
- * the CSV when it dies (mirrors SPECRT_TRACE).
- */
-bool maybeEnableFromEnv();
 
 } // namespace timeline
 } // namespace specrt

@@ -1,37 +1,20 @@
 #include "sim/trace.hh"
 
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
-#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/sim_context.hh"
-#include "sim/trace_export.hh"
 
 namespace specrt
 {
 namespace trace
 {
 
-thread_local bool tlsTraceOn = false;
-
 TraceBuffer &
 buffer()
 {
-    return SimContext::current().traceBuffer();
-}
-
-void
-refreshEnabled()
-{
-    tlsTraceOn = SimContext::current().traceBuffer().isOn();
-}
-
-uint32_t
-nextLoopId()
-{
-    return ++SimContext::current().traceNextLoopId;
+    return SimContext::current().recorders().trace;
 }
 
 const char *
@@ -113,14 +96,14 @@ TraceBuffer::enable(size_t cap)
         total = 0;
     }
     on = true;
-    refreshEnabled();
+    obs::refresh();
 }
 
 void
 TraceBuffer::disable()
 {
     on = false;
-    refreshEnabled();
+    obs::refresh();
 }
 
 void
@@ -153,18 +136,39 @@ TraceBuffer::at(size_t i) const
 }
 
 void
-TraceBuffer::emit(const TraceRecord &r)
+TraceBuffer::store(const TraceRecord &r, uint32_t loop)
 {
-    if (!on || ring.empty())
-        return;
-    TraceRecord &slot = ring[head];
-    slot = r;
-    slot.loop = curLoop;
     ++total;
+    if (ring.empty())
+        return; // never enabled: the record counts as dropped
+    ring[head] = r;
+    ring[head].loop = loop;
     if (++head == ring.size()) {
         head = 0;
         wrapped = true;
     }
+}
+
+void
+TraceBuffer::emit(const TraceRecord &r)
+{
+    if (on)
+        store(r, curLoop);
+}
+
+void
+TraceBuffer::merge(const TraceBuffer &shard)
+{
+    for (size_t i = 0; i < shard.size(); ++i) {
+        TraceRecord r = shard.at(i);
+        // Message records carry their flow id in b (sim/trace.hh).
+        if (r.op == TraceOp::MsgSend || r.op == TraceOp::MsgRecv)
+            r.b += flowCounter;
+        store(r, r.loop ? r.loop + loopCounter : 0);
+    }
+    total += shard.dropped();
+    loopCounter += shard.loopCounter;
+    flowCounter += shard.flowCounter;
 }
 
 Ctx &
@@ -351,61 +355,6 @@ AbortCause::str() const
     if (!haveEarlier)
         os << "\n  (conflicting access not in the trace ring)";
     return os.str();
-}
-
-// --- config / env wiring ----------------------------------------------
-
-const std::string &
-outPath()
-{
-    return SimContext::current().traceOutPath;
-}
-
-void
-applyConfig(const TraceConfig &tc)
-{
-    if (!tc.enabled)
-        return;
-    SimContext &ctx = SimContext::current();
-    ctx.traceBuffer().enable(tc.capacityRecords
-                                 ? tc.capacityRecords
-                                 : TraceBuffer::defaultCapacity);
-    if (!tc.outPath.empty())
-        ctx.traceOutPath = tc.outPath;
-}
-
-namespace
-{
-
-/** The environment, parsed once per process (thread-safe). */
-const TraceConfig &
-envTraceConfig()
-{
-    static const TraceConfig tc = TraceConfig::fromEnv();
-    return tc;
-}
-
-} // namespace
-
-bool
-maybeEnableFromEnv()
-{
-    SimContext &ctx = SimContext::current();
-    if (!ctx.traceEnvChecked) {
-        ctx.traceEnvChecked = true;
-        const TraceConfig &tc = envTraceConfig();
-        if (tc.enabled) {
-            applyConfig(tc);
-            // The export happens when the context dies (not via
-            // atexit -- thread-locals are destroyed first): CI
-            // re-runs failing tests with SPECRT_TRACE set and
-            // harvests the file without the test knowing anything
-            // about tracing.
-            if (!ctx.traceOutPath.empty())
-                ctx.traceExportOnDestroy = true;
-        }
-    }
-    return enabled();
 }
 
 } // namespace trace

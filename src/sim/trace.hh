@@ -9,8 +9,9 @@
  * Design rules:
  *
  *  - the disabled path is free: every instrumentation site guards
- *    with `if (trace::enabled())`, which is a single thread-local
- *    bool load. Nothing is allocated until tracing is switched on.
+ *    with `if (trace::enabled())`, one bit test of the observability
+ *    hub's thread-local latch (obs/hub.hh). Nothing is allocated
+ *    until tracing is switched on.
  *  - records are PODs in a fixed-capacity ring; when the ring is
  *    full the oldest records are overwritten (and counted as
  *    dropped). Tracing never unbounds memory.
@@ -18,11 +19,11 @@
  *    (message-type names, state names, rule texts), so records stay
  *    trivially copyable and the hot path never builds std::strings.
  *  - each simulator instance is single-threaded (see logging.hh for
- *    the contract); the buffer does no locking. The ring, the
- *    ambient attribution context, and the output path all live in
- *    the instance's SimContext (sim/sim_context.hh), so concurrent
- *    simulator instances on different host threads trace
- *    independently.
+ *    the contract); the buffer does no locking. The ring and the
+ *    ambient attribution context live in the instance's SimContext
+ *    (sim/sim_context.hh), so concurrent simulator instances on
+ *    different host threads trace independently; campaign jobs'
+ *    rings merge in job-id order (TraceBuffer::merge).
  *
  * On a speculation abort, attributeAbort() walks the ring backwards
  * and synthesizes an AbortCause: the failing element, the two
@@ -38,13 +39,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/hub.hh"
 #include "sim/profile.hh"
 #include "sim/types.hh"
 
 namespace specrt
 {
-
-struct TraceConfig;
 
 namespace trace
 {
@@ -137,6 +137,8 @@ class TraceBuffer
 
     TraceBuffer(const TraceBuffer &) = delete;
     TraceBuffer &operator=(const TraceBuffer &) = delete;
+    TraceBuffer(TraceBuffer &&) = default;
+    TraceBuffer &operator=(TraceBuffer &&) = default;
 
     /** Switch tracing on with room for @p capacity records. */
     void enable(size_t capacity = defaultCapacity);
@@ -162,51 +164,53 @@ class TraceBuffer
     /** Append one record (no-op unless enabled). */
     void emit(const TraceRecord &r);
 
+    /**
+     * Append @p shard's retained records, oldest first, keeping
+     * their loop stamps. Loop and flow ids are offset past the ones
+     * this ring handed out, so two shards' runs and message arrows
+     * stay distinct, and records the shard's ring shed count as
+     * dropped here. Called in job-id order by the campaign merge
+     * path, which makes the result independent of --jobs.
+     */
+    void merge(const TraceBuffer &shard);
+
     /** Fresh flow id tying a MsgSend to its MsgRecv(s). */
     uint64_t nextFlow() { return ++flowCounter; }
+
+    /**
+     * Fresh loop id. Every executor run takes one, so records of
+     * consecutive runs (degradation retries, sweep epochs) stay
+     * distinguishable in the exported trace while two contexts' ids
+     * stay independent (campaign determinism).
+     */
+    uint32_t nextLoopId() { return ++loopCounter; }
 
     /** Loop id stamped into subsequent records. */
     void setLoop(uint32_t id) { curLoop = id; }
     uint32_t loop() const { return curLoop; }
 
   private:
+    /**
+     * Store @p r stamped with @p loop in the next slot, overwriting
+     * the oldest if full.
+     */
+    void store(const TraceRecord &r, uint32_t loop);
+
     std::vector<TraceRecord> ring;
     size_t head = 0;     ///< next slot to write
     bool wrapped = false;
     bool on = false;
     uint64_t total = 0;
     uint64_t flowCounter = 0;
+    uint32_t loopCounter = 0;
     uint32_t curLoop = 0;
 };
 
 /** The current SimContext's trace ring. */
 TraceBuffer &buffer();
 
-/**
- * Per-host-thread mirror of "is the current context's ring
- * recording"; the hot-path guard behind enabled(). Maintained by
- * enable()/disable() and context activation -- do not touch
- * directly.
- */
-extern thread_local bool tlsTraceOn;
-
 /** True when the current context is tracing (the hot-path guard). */
-inline bool
-enabled()
-{
-    return tlsTraceOn;
-}
-
-/** Recompute tlsTraceOn from the current context (internal). */
-void refreshEnabled();
-
-/**
- * Fresh loop id for the current context. Every executor run gets
- * one, so records of consecutive runs (degradation retries, sweep
- * epochs) stay distinguishable in the exported trace while two
- * contexts' ids stay independent (campaign determinism).
- */
-uint32_t nextLoopId();
+inline bool enabled() { return obs::on(obs::Consumer::Trace); }
 
 // --- ambient context --------------------------------------------------
 //
@@ -309,26 +313,6 @@ const char *violatedRule(const char *reason);
 AbortCause attributeAbort(const TraceBuffer &buf, Addr elem,
                           NodeId node, IterNum iter,
                           const char *reason, Tick tick);
-
-/**
- * Apply a TraceConfig (sim/config.hh) to the current context:
- * enable its ring when asked and remember the output path for the
- * at-exit export. Idempotent.
- */
-void applyConfig(const TraceConfig &tc);
-
-/**
- * Enable tracing from SPECRT_TRACE / SPECRT_TRACE_OUT /
- * SPECRT_TRACE_CAPACITY if set (checked once per context; the
- * environment itself is parsed once per process). Called by the
- * executor so any driver -- tests included -- honors the
- * environment. @return true when tracing is on afterwards.
- */
-bool maybeEnableFromEnv();
-
-/** Output path requested via config/env for the current context
- *  ("" = none). */
-const std::string &outPath();
 
 } // namespace trace
 } // namespace specrt

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -243,17 +242,6 @@ chromeTraceJson(const TraceBuffer &buf, const timeline::Timeline *tl)
        << "\"otherData\": {\"recorded\": " << buf.recorded()
        << ", \"dropped\": " << buf.dropped() << "}}\n";
     return os.str();
-}
-
-bool
-exportChromeTraceFile(const TraceBuffer &buf, const std::string &path,
-                      const timeline::Timeline *tl)
-{
-    std::ofstream os(path, std::ios::trunc);
-    if (!os)
-        return false;
-    os << chromeTraceJson(buf, tl);
-    return static_cast<bool>(os);
 }
 
 std::string

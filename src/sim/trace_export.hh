@@ -46,11 +46,6 @@ class TraceBuffer;
 std::string chromeTraceJson(const TraceBuffer &buf,
                             const timeline::Timeline *tl = nullptr);
 
-/** Write chromeTraceJson(@p buf, @p tl) to @p path. @return success. */
-bool exportChromeTraceFile(const TraceBuffer &buf,
-                           const std::string &path,
-                           const timeline::Timeline *tl = nullptr);
-
 /** Compact human-readable summary of the ring's contents. */
 std::string textSummary(const TraceBuffer &buf,
                         const timeline::Timeline *tl = nullptr);

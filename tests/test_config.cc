@@ -104,6 +104,16 @@ TEST(Config, SummaryMentionsGeometry)
     EXPECT_NE(s.find("512KB"), std::string::npos);
 }
 
+TEST(Config, ProfilerKnobDoesNotChangeTheFingerprint)
+{
+    MachineConfig plain;
+    MachineConfig profiled;
+    profiled.critpath.enabled = true;
+    // Observability must never look like a different machine to the
+    // perf-gate baseline matcher.
+    EXPECT_EQ(plain.fingerprint(), profiled.fingerprint());
+}
+
 TEST(Logging, SinkCapturesMessages)
 {
     std::vector<std::pair<LogLevel, std::string>> captured;

@@ -150,7 +150,6 @@ TEST_F(ObsTest, DisabledEmittersRecordNothing)
 TEST_F(ObsTest, EmitterLinesAreByteExact)
 {
     obs::log().enable();
-    obs::refreshEnabled();
     ASSERT_TRUE(obs::enabled());
     obs::runBegin(0, "HW", 64, 8);
     obs::runEnd(9301, "HW", false, false, 9301, 64);
@@ -194,24 +193,141 @@ TEST_F(ObsTest, EmitterLinesAreByteExact)
         EXPECT_TRUE(validJson(log.at(i))) << log.at(i);
 }
 
-TEST_F(ObsTest, EnvEnableIsPerContext)
+// --- environment knobs (SimContext::applyObsEnv) ---------------------
+
+namespace
 {
-    setenv("SPECRT_EVENTS", "1", 1);
-    SimContext inner;
-    {
-        ScopedSimContext active(inner);
-        EXPECT_TRUE(obs::maybeEnableFromEnv());
-        EXPECT_TRUE(obs::enabled());
-    }
-    unsetenv("SPECRT_EVENTS");
-    // The outer (fixture) context was never env-enabled.
-    EXPECT_FALSE(obs::enabled());
-    SimContext off;
-    {
-        ScopedSimContext active(off);
-        EXPECT_FALSE(obs::maybeEnableFromEnv());
-    }
+
+/** One consumer's knobs; sizeEnv is null when it has none. */
+struct EnvCase
+{
+    const char *name;
+    obs::Consumer consumer;
+    const char *env;
+    const char *sizeEnv;
+};
+
+/** gtest prints the parameter into the test's listed name. */
+void
+PrintTo(const EnvCase &c, std::ostream *os)
+{
+    *os << c.name;
 }
+
+const EnvCase envCases[] = {
+    {"trace", obs::Consumer::Trace, "SPECRT_TRACE",
+     "SPECRT_TRACE_CAPACITY"},
+    {"timeline", obs::Consumer::Timeline, "SPECRT_TIMELINE",
+     "SPECRT_TIMELINE_INTERVAL"},
+    {"critpath", obs::Consumer::Critpath, "SPECRT_CRITPATH", nullptr},
+    {"events", obs::Consumer::Events, "SPECRT_EVENTS", nullptr},
+};
+
+/** What applyObsEnv() did to a fresh context. */
+struct Applied
+{
+    bool on = false;
+    std::string path;
+    /** Trace ring capacity or timeline interval (0 otherwise). */
+    uint64_t size = 0;
+    std::string warnings;
+};
+
+class ObsEnvKnob : public ::testing::TestWithParam<EnvCase>
+{
+  protected:
+    void SetUp() override { unsetAll(); }
+    void TearDown() override { unsetAll(); }
+
+    static void
+    unsetAll()
+    {
+        for (const EnvCase &c : envCases) {
+            unsetenv(c.env);
+            if (c.sizeEnv)
+                unsetenv(c.sizeEnv);
+        }
+    }
+
+    /** Apply the environment to a fresh context and report it. */
+    Applied
+    applyFresh() const
+    {
+        const EnvCase &p = GetParam();
+        Applied a;
+        SimContext ctx;
+        ctx.logSink = [&a](LogLevel, const std::string &msg) {
+            a.warnings += msg;
+        };
+        ScopedSimContext active(ctx);
+        ctx.applyObsEnv();
+        size_t i = static_cast<size_t>(p.consumer);
+        a.on = obs::on(p.consumer);
+        a.path = ctx.obsOutPath[i];
+        if (p.consumer == obs::Consumer::Trace)
+            a.size = ctx.recorders().trace.capacity();
+        if (p.consumer == obs::Consumer::Timeline)
+            a.size = ctx.recorders().timeline.interval();
+        // Nothing was recorded, so the context exports nothing.
+        EXPECT_FALSE(ctx.recorders().hasData(p.consumer));
+        return a;
+    }
+};
+
+} // namespace
+
+TEST_P(ObsEnvKnob, ParsesTheKnobsPerContext)
+{
+    const EnvCase &p = GetParam();
+    EXPECT_FALSE(applyFresh().on) << "unset";
+    setenv(p.env, "0", 1);
+    EXPECT_FALSE(applyFresh().on) << "0";
+    setenv(p.env, "", 1);
+    EXPECT_FALSE(applyFresh().on) << "empty";
+
+    setenv(p.env, "1", 1);
+    Applied on = applyFresh();
+    EXPECT_TRUE(on.on);
+    EXPECT_EQ(on.path, "");
+
+    setenv(p.env, "run.out", 1);
+    EXPECT_EQ(applyFresh().path, "run.out");
+
+    if (p.sizeEnv) {
+        setenv(p.sizeEnv, "250", 1);
+        EXPECT_EQ(applyFresh().size, 250u);
+        // A bad value warns and keeps the recorder's default.
+        for (const char *bad : {"x", "0", "12abc", ""}) {
+            setenv(p.sizeEnv, bad, 1);
+            Applied a = applyFresh();
+            EXPECT_TRUE(a.on) << bad;
+            EXPECT_EQ(a.size, on.size) << bad;
+            EXPECT_NE(a.warnings.find(p.sizeEnv), std::string::npos)
+                << bad;
+        }
+    }
+
+    // Per context: applied once, so a later change of the environment
+    // reaches only contexts that have not applied it yet.
+    setenv(p.env, "1", 1);
+    SimContext applied;
+    {
+        ScopedSimContext active(applied);
+        applied.applyObsEnv();
+        unsetenv(p.env);
+        applied.applyObsEnv();
+        EXPECT_TRUE(obs::on(p.consumer));
+    }
+    EXPECT_FALSE(applyFresh().on);
+    // The fixture-less outer context was never touched.
+    EXPECT_FALSE(obs::on(p.consumer));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Consumers, ObsEnvKnob, ::testing::ValuesIn(envCases),
+    [](const ::testing::TestParamInfo<EnvCase> &info) {
+        return std::string(info.param.name);
+    });
 
 // --- executor lifecycle instrumentation -------------------------------
 
@@ -223,7 +339,6 @@ RunResult
 instrumentedRun(Workload &w)
 {
     obs::log().enable();
-    obs::refreshEnabled();
     MachineConfig cfg;
     cfg.numProcs = 4;
     ExecConfig xc;
@@ -283,7 +398,6 @@ mergedCampaignEvents(size_t n, unsigned workers)
         n,
         [&](size_t id, SimContext &) {
             obs::log().enable();
-            obs::refreshEnabled();
             Fig1BLoop loop(8 + 2 * id);
             MachineConfig cfg;
             cfg.numProcs = 4;
@@ -343,7 +457,6 @@ sampleInputs(const obs::EventLog *events)
 TEST_F(ObsTest, ReportRendersValidJsonAndRoundTrips)
 {
     obs::log().enable();
-    obs::refreshEnabled();
     obs::runBegin(0, "HW", 64, 8);
     obs::abortEvent(302, 0x1a8, 2, 7, "flow dep", "RAW");
     obs::runEnd(9301, "HW", false, false, 9301, 64);

@@ -4,8 +4,8 @@
  * Telemetry fold semantics (counters sum, metrics overwrite by key,
  * stats last-nonempty-wins, cost breakdowns sum), the ScopedTelemetry
  * thread redirect, and the headline determinism contract -- runJobs()
- * aggregation (telemetry AND the merged event log) is byte-identical
- * whatever the worker count.
+ * aggregation (telemetry AND every merged observability artifact) is
+ * byte-identical whatever the worker count.
  *
  * Links bench_harness, not just specrt; registered with its own rule
  * in tests/CMakeLists.txt.
@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -178,7 +180,6 @@ aggregateAtFanout(unsigned workers)
     bench::telemetry() = bench::Telemetry{};
     obs::log().clear();
     obs::log().enable();
-    obs::refreshEnabled();
 
     bench::setJobs(workers);
     auto outcomes = bench::runJobs(
@@ -211,7 +212,6 @@ aggregateAtFanout(unsigned workers)
     bench::telemetry() = bench::Telemetry{};
     obs::log().clear();
     obs::log().disable();
-    obs::refreshEnabled();
     return out;
 }
 
@@ -234,12 +234,69 @@ TEST(TelemetryRunJobs, AggregationIsByteIdenticalAcrossFanouts)
         << serial;
 }
 
+namespace
+{
+
+/**
+ * Every consumer's merged artifact after fanning 4 executor jobs
+ * (job 1 aborts its HW speculation) across @p workers threads, with
+ * all four artifact consumers on in a fresh process-level context.
+ */
+std::array<std::string, obs::numArtifacts>
+artifactsAtFanout(unsigned workers)
+{
+    SimContext proc;
+    ScopedSimContext active(proc);
+    for (size_t c = 0; c < obs::numArtifacts; ++c)
+        proc.recorders().enable(static_cast<obs::Consumer>(c));
+    bench::setJobs(workers);
+    bench::runJobs(4, [](size_t id, SimContext &) {
+        Fig1ALoop serialDep(16);
+        Fig1BLoop parallel(8 + 2 * id);
+        MachineConfig cfg;
+        cfg.numProcs = 4;
+        ExecConfig xc;
+        xc.mode = ExecMode::HW;
+        Workload &w = id == 1 ? static_cast<Workload &>(serialDep)
+                              : static_cast<Workload &>(parallel);
+        LoopExecutor(cfg, w, xc).run();
+    });
+    bench::setJobs(1);
+    bench::telemetry() = bench::Telemetry{};
+    std::array<std::string, obs::numArtifacts> out;
+    for (size_t c = 0; c < obs::numArtifacts; ++c)
+        out[c] = proc.recorders().render(static_cast<obs::Consumer>(c));
+    return out;
+}
+
+} // namespace
+
+TEST(TelemetryRunJobs, EveryMergedArtifactIsFanoutInvariant)
+{
+    auto serial = artifactsAtFanout(1);
+    auto parallel = artifactsAtFanout(2);
+    const char *names[] = {"trace", "timeline", "critpath", "events"};
+    for (size_t c = 0; c < obs::numArtifacts; ++c)
+        EXPECT_EQ(serial[c], parallel[c]) << names[c];
+
+    // Each artifact carries the jobs' records, not just its envelope.
+    const std::string &trace = serial[0];
+    EXPECT_EQ(trace.find("\"recorded\": 0,"), std::string::npos);
+    EXPECT_NE(trace.find("ABORT: "), std::string::npos);
+    EXPECT_NE(trace.find("\"name\": \"loop 4 (HW)\""),
+              std::string::npos)
+        << "the four jobs' loops keep distinct ids";
+    EXPECT_GT(std::count(serial[1].begin(), serial[1].end(), '\n'), 4);
+    EXPECT_NE(serial[2].find("\"ph\":\"b\""), std::string::npos);
+    EXPECT_NE(serial[3].find("\"ev\":\"abort\""), std::string::npos);
+    EXPECT_NE(serial[3].find("\"ev\":\"job_end\""), std::string::npos);
+}
+
 TEST(TelemetryRunJobs, DisabledEventLogStaysEmpty)
 {
     bench::telemetry() = bench::Telemetry{};
     obs::log().clear();
     obs::log().disable();
-    obs::refreshEnabled();
     bench::setJobs(2);
     bench::runJobs(3, [](size_t, SimContext &) {
         Fig1BLoop loop(8);

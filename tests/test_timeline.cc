@@ -6,9 +6,10 @@
  * ranking, campaign merge of unequal-length timelines, the
  * RunSampler's daemon-event scheduling (zero events when disabled,
  * interval longer than the run, stat resets mid-run, and the
- * no-timing-perturbation guarantee), config/env wiring, and an
- * end-to-end HW abort whose export must carry Perfetto counter
- * tracks plus a hot-node attribution of the conflicting element.
+ * no-timing-perturbation guarantee), the env knob leaving the
+ * published machine fingerprint alone, and an end-to-end HW abort
+ * whose export must carry Perfetto counter tracks plus a hot-node
+ * attribution of the conflicting element.
  */
 
 #include <gtest/gtest.h>
@@ -325,57 +326,48 @@ TEST_F(TimelineTest, SamplerWithNothingRegisteredStillProducesRows)
 
 // --- config / env -----------------------------------------------------
 
-TEST(TimelineConfigTest, FromEnvParsesTheKnobs)
+namespace
 {
-    unsetenv("SPECRT_TIMELINE");
-    unsetenv("SPECRT_TIMELINE_OUT");
-    unsetenv("SPECRT_TIMELINE_INTERVAL");
-    EXPECT_FALSE(TimelineConfig::fromEnv().enabled);
 
-    setenv("SPECRT_TIMELINE", "0", 1);
-    EXPECT_FALSE(TimelineConfig::fromEnv().enabled);
-
-    setenv("SPECRT_TIMELINE", "1", 1);
-    TimelineConfig on = TimelineConfig::fromEnv();
-    EXPECT_TRUE(on.enabled);
-    EXPECT_TRUE(on.outPath.empty());
-
-    setenv("SPECRT_TIMELINE", "run.csv", 1);
-    EXPECT_EQ(TimelineConfig::fromEnv().outPath, "run.csv");
-
-    setenv("SPECRT_TIMELINE_OUT", "other.csv", 1);
-    setenv("SPECRT_TIMELINE_INTERVAL", "250", 1);
-    TimelineConfig full = TimelineConfig::fromEnv();
-    EXPECT_EQ(full.outPath, "other.csv");
-    EXPECT_EQ(full.intervalTicks, 250u);
-
-    unsetenv("SPECRT_TIMELINE");
-    unsetenv("SPECRT_TIMELINE_OUT");
-    unsetenv("SPECRT_TIMELINE_INTERVAL");
+/**
+ * Run a small HW loop in a fresh context and return the machine
+ * fingerprint the run published, plus whether the timeline sampled.
+ */
+std::pair<std::string, bool>
+publishedFingerprint()
+{
+    SimContext fresh;
+    ScopedSimContext active(fresh);
+    MachineConfig cfg;
+    cfg.numProcs = 4;
+    Fig1BLoop loop(16);
+    ExecConfig xc;
+    xc.mode = ExecMode::HW;
+    LoopExecutor exec(cfg, loop, xc);
+    exec.run();
+    return {fresh.configFingerprint,
+            fresh.recorders().hasData(obs::Consumer::Timeline)};
 }
+
+} // namespace
 
 TEST(TimelineConfigTest, TimelineKnobDoesNotChangeTheFingerprint)
 {
-    MachineConfig plain;
-    MachineConfig sampled;
-    sampled.timeline.enabled = true;
-    sampled.timeline.outPath = "x.csv";
-    sampled.timeline.intervalTicks = 123;
+    unsetenv("SPECRT_TIMELINE");
+    unsetenv("SPECRT_TIMELINE_INTERVAL");
+    auto plain = publishedFingerprint();
+    setenv("SPECRT_TIMELINE", "1", 1);
+    setenv("SPECRT_TIMELINE_INTERVAL", "123", 1);
+    auto sampled = publishedFingerprint();
+    unsetenv("SPECRT_TIMELINE");
+    unsetenv("SPECRT_TIMELINE_INTERVAL");
+    // The knob really switched the timeline on for the second run only.
+    EXPECT_FALSE(plain.second);
+    EXPECT_TRUE(sampled.second);
     // Observability must never look like a different machine to the
     // perf-gate baseline matcher.
-    EXPECT_EQ(plain.fingerprint(), sampled.fingerprint());
-}
-
-TEST_F(TimelineTest, ApplyConfigEnablesWithIntervalAndOutPath)
-{
-    TimelineConfig tc;
-    tc.enabled = true;
-    tc.intervalTicks = 123;
-    tc.outPath = "x.csv";
-    timeline::applyConfig(tc);
-    EXPECT_TRUE(timeline::enabled());
-    EXPECT_EQ(tl().interval(), 123u);
-    EXPECT_EQ(SimContext::current().timelineOutPath, "x.csv");
+    EXPECT_FALSE(plain.first.empty());
+    EXPECT_EQ(plain.first, sampled.first);
 }
 
 // --- instance scoping -------------------------------------------------
@@ -390,10 +382,10 @@ TEST_F(TimelineTest, ScopedContextSwitchesTheCurrentTimeline)
         // The inner context's timeline is off; the latch followed.
         EXPECT_FALSE(timeline::enabled());
         timeline::dirAccess(0, 0x40); // gated: no-op
-        EXPECT_TRUE(inner.timelineData().heatMap().empty());
+        EXPECT_TRUE(inner.recorders().timeline.heatMap().empty());
     }
     EXPECT_TRUE(timeline::enabled());
-    EXPECT_EQ(&timeline::current(), &ctx.timelineData());
+    EXPECT_EQ(&timeline::current(), &ctx.recorders().timeline);
 }
 
 // --- end to end -------------------------------------------------------
@@ -438,9 +430,8 @@ TEST_F(TimelineTest, HwAbortYieldsCounterTracksAndHotNodeAttribution)
     // the hot summary must name the home of the conflicting element.
     MachineConfig cfg;
     cfg.numProcs = 8;
-    cfg.trace.enabled = true;
-    cfg.timeline.enabled = true;
-    cfg.timeline.intervalTicks = 50;
+    trace::buffer().enable();
+    tl().enable(50);
     Fig1ALoop loop(64);
     ExecConfig xc;
     xc.mode = ExecMode::HW;

@@ -2,9 +2,10 @@
  * @file
  * Tests for the protocol trace subsystem (sim/trace.hh): ring
  * mechanics, op/category naming (including the EventKind reuse),
- * abort-cause attribution, config/env wiring, the Chrome trace-event
- * JSON exporter (validated with an in-test JSON parser), and an
- * end-to-end HW abort that must come back fully attributed.
+ * abort-cause attribution, the campaign shard merge, the env knob
+ * leaving the published machine fingerprint alone, the Chrome
+ * trace-event JSON exporter (validated with an in-test JSON parser),
+ * and an end-to-end HW abort that must come back fully attributed.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/loop_exec.hh"
 #include "sim/config.hh"
@@ -280,44 +282,45 @@ TEST_F(TraceTest, AttributeAbortSurvivesAnEmptyRing)
 
 // --- config / env -----------------------------------------------------
 
-TEST(TraceConfigTest, FromEnvParsesTheKnobs)
+namespace
 {
-    unsetenv("SPECRT_TRACE");
-    unsetenv("SPECRT_TRACE_OUT");
-    unsetenv("SPECRT_TRACE_CAPACITY");
-    EXPECT_FALSE(TraceConfig::fromEnv().enabled);
 
-    setenv("SPECRT_TRACE", "0", 1);
-    EXPECT_FALSE(TraceConfig::fromEnv().enabled);
-
-    setenv("SPECRT_TRACE", "1", 1);
-    TraceConfig on = TraceConfig::fromEnv();
-    EXPECT_TRUE(on.enabled);
-    EXPECT_TRUE(on.outPath.empty());
-
-    setenv("SPECRT_TRACE", "run.json", 1);
-    EXPECT_EQ(TraceConfig::fromEnv().outPath, "run.json");
-
-    setenv("SPECRT_TRACE_OUT", "other.json", 1);
-    setenv("SPECRT_TRACE_CAPACITY", "1024", 1);
-    TraceConfig full = TraceConfig::fromEnv();
-    EXPECT_EQ(full.outPath, "other.json");
-    EXPECT_EQ(full.capacityRecords, 1024u);
-
-    unsetenv("SPECRT_TRACE");
-    unsetenv("SPECRT_TRACE_OUT");
-    unsetenv("SPECRT_TRACE_CAPACITY");
+/**
+ * Run a small HW loop in a fresh context and return the machine
+ * fingerprint the run published, plus whether the trace recorded.
+ */
+std::pair<std::string, bool>
+publishedFingerprint()
+{
+    SimContext ctx;
+    ScopedSimContext active(ctx);
+    MachineConfig cfg;
+    cfg.numProcs = 4;
+    Fig1BLoop loop(16);
+    ExecConfig xc;
+    xc.mode = ExecMode::HW;
+    LoopExecutor exec(cfg, loop, xc);
+    exec.run();
+    return {ctx.configFingerprint,
+            ctx.recorders().hasData(obs::Consumer::Trace)};
 }
+
+} // namespace
 
 TEST(TraceConfigTest, TraceKnobDoesNotChangeTheConfigFingerprint)
 {
-    MachineConfig plain;
-    MachineConfig traced;
-    traced.trace.enabled = true;
-    traced.trace.outPath = "x.json";
+    unsetenv("SPECRT_TRACE");
+    auto plain = publishedFingerprint();
+    setenv("SPECRT_TRACE", "1", 1);
+    auto traced = publishedFingerprint();
+    unsetenv("SPECRT_TRACE");
+    // The knob really switched the trace on for the second run only.
+    EXPECT_FALSE(plain.second);
+    EXPECT_TRUE(traced.second);
     // Observability must never look like a different machine to the
     // perf-gate baseline matcher.
-    EXPECT_EQ(plain.fingerprint(), traced.fingerprint());
+    EXPECT_FALSE(plain.first.empty());
+    EXPECT_EQ(plain.first, traced.first);
 }
 
 // --- JSON exporter ----------------------------------------------------
@@ -368,13 +371,19 @@ TEST_F(TraceTest, ExportFileRoundTrips)
     b.emit(rec(1, trace::TraceOp::IterBegin, 0, 1));
     std::string path =
         ::testing::TempDir() + "/specrt_trace_roundtrip.json";
-    ASSERT_TRUE(trace::exportChromeTraceFile(b, path));
+    const obs::Recorders &rec = SimContext::current().recorders();
+    ASSERT_TRUE(rec.write(obs::Consumer::Trace, path, stdout));
     std::ifstream is(path);
     ASSERT_TRUE(is.good());
     std::ostringstream buf;
     buf << is.rdbuf();
     EXPECT_TRUE(validJson(buf.str()));
+    EXPECT_EQ(buf.str(), rec.render(obs::Consumer::Trace));
     std::remove(path.c_str());
+    // An unwritable path reports failure instead of a partial file.
+    EXPECT_FALSE(rec.write(obs::Consumer::Trace,
+                           ::testing::TempDir() + "/no/such/dir.json",
+                           stdout));
 }
 
 // --- end to end -------------------------------------------------------
@@ -386,7 +395,7 @@ TEST_F(TraceTest, HwAbortComesBackFullyAttributed)
     // and the trace must say why.
     MachineConfig cfg;
     cfg.numProcs = 8;
-    cfg.trace.enabled = true;
+    trace::buffer().enable();
     Fig1ALoop loop(64);
     ExecConfig xc;
     xc.mode = ExecMode::HW;
@@ -517,6 +526,49 @@ TEST_F(TraceTest, AttributeAbortSurvivesOverwrittenCausingRecord)
 
 // --- instance scoping -------------------------------------------------
 
+TEST_F(TraceTest, MergeAppendsShardsInJobOrder)
+{
+    // Two job shards, each with its own loop 1 and flow 1, the second
+    // wrapped (3 emits into 2 slots), plus an empty one between them.
+    trace::TraceBuffer a, empty, b, dst;
+    a.enable(8);
+    a.setLoop(a.nextLoopId());
+    auto send = rec(1, trace::TraceOp::MsgSend, 0, 0, 0x40, "ReadReq");
+    send.b = a.nextFlow();
+    a.emit(send);
+    a.emit(rec(2, trace::TraceOp::IterBegin, 0, 1));
+    b.enable(2);
+    b.setLoop(b.nextLoopId());
+    for (Tick t = 10; t < 13; ++t) {
+        auto msg = rec(t, trace::TraceOp::MsgRecv, 1, 0, 0x80, "Data");
+        msg.b = b.nextFlow();
+        b.emit(msg);
+    }
+    dst.enable(16);
+    dst.merge(a);
+    dst.merge(empty);
+    dst.merge(b);
+
+    // Job order, each shard oldest first; b's shed record is gone.
+    ASSERT_EQ(dst.size(), 4u);
+    EXPECT_EQ(dst.at(0).tick, 1u);
+    EXPECT_EQ(dst.at(1).tick, 2u);
+    EXPECT_EQ(dst.at(2).tick, 11u);
+    EXPECT_EQ(dst.at(3).tick, 12u);
+    // Loop ids stay distinct: b's loop 1 follows a's.
+    EXPECT_EQ(dst.at(0).loop, 1u);
+    EXPECT_EQ(dst.at(2).loop, 2u);
+    // Flow ids too: a handed out 1, so b's flows 2 and 3 become 3, 4.
+    EXPECT_EQ(dst.at(0).b, 1u);
+    EXPECT_EQ(dst.at(2).b, 3u);
+    EXPECT_EQ(dst.at(3).b, 4u);
+    EXPECT_EQ(dst.nextLoopId(), 3u);
+    EXPECT_EQ(dst.nextFlow(), 5u);
+    // The record b's ring shed counts as dropped in the merge.
+    EXPECT_EQ(dst.recorded(), 5u);
+    EXPECT_EQ(dst.dropped(), 1u);
+}
+
 TEST_F(TraceTest, StandaloneBuffersAreIndependent)
 {
     trace::TraceBuffer b1;
@@ -543,7 +595,7 @@ TEST_F(TraceTest, ScopedSimContextSwitchesTheCurrentRing)
         // The inner context's ring is off and empty; the guard must
         // have followed the context switch.
         EXPECT_FALSE(trace::enabled());
-        EXPECT_EQ(&trace::buffer(), &inner.traceBuffer());
+        EXPECT_EQ(&trace::buffer(), &inner.recorders().trace);
         trace::buffer().enable(4);
         EXPECT_TRUE(trace::enabled());
         trace::buffer().emit(rec(1, trace::TraceOp::IterBegin, 0, 1));
@@ -553,7 +605,7 @@ TEST_F(TraceTest, ScopedSimContextSwitchesTheCurrentRing)
     EXPECT_TRUE(trace::enabled());
     EXPECT_EQ(&trace::buffer(), &outer);
     EXPECT_EQ(outer.size(), 0u);
-    EXPECT_EQ(inner.traceBuffer().size(), 1u);
+    EXPECT_EQ(inner.recorders().trace.size(), 1u);
 }
 
 TEST_F(TraceTest, LoopIdsArePerContext)
@@ -563,12 +615,12 @@ TEST_F(TraceTest, LoopIdsArePerContext)
     uint32_t a1, a2, b1;
     {
         ScopedSimContext active(a);
-        a1 = trace::nextLoopId();
-        a2 = trace::nextLoopId();
+        a1 = trace::buffer().nextLoopId();
+        a2 = trace::buffer().nextLoopId();
     }
     {
         ScopedSimContext active(b);
-        b1 = trace::nextLoopId();
+        b1 = trace::buffer().nextLoopId();
     }
     EXPECT_EQ(a2, a1 + 1);
     // A fresh context starts its ids over: two campaign jobs built
