@@ -3,6 +3,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -407,10 +408,13 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
     int rc = body();
     auto t1 = std::chrono::steady_clock::now();
 
+    std::array<obs::Written, obs::numArtifacts> written{};
     for (size_t c = 0; c < obs::numArtifacts; ++c) {
-        if (!paths[c].empty() &&
-            !obsRec.write(static_cast<obs::Consumer>(c), paths[c],
-                          stdout))
+        if (paths[c].empty())
+            continue;
+        written[c] =
+            obsRec.write(static_cast<obs::Consumer>(c), paths[c], stdout);
+        if (!written[c])
             rc = rc ? rc : 1;
     }
     const timeline::Timeline &tl = obsRec.timeline;
@@ -516,6 +520,21 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
                 << "\",\n";
         }
     }
+    // What each written artifact cost to render and to write, and
+    // its size; informational for the perf gate.
+    bool anyWritten = false;
+    for (size_t c = 0; c < obs::numArtifacts; ++c) {
+        if (!written[c])
+            continue;
+        rec << (anyWritten ? ", " : "    \"obs\": {") << "\""
+            << obs::artifactName(static_cast<obs::Consumer>(c))
+            << "\": {\"render_ms\": " << jsonNumber(written[c].renderMs)
+            << ", \"write_ms\": " << jsonNumber(written[c].writeMs)
+            << ", \"bytes\": " << written[c].bytes << "}";
+        anyWritten = true;
+    }
+    if (anyWritten)
+        rec << "},\n";
     // Host memory figures; the perf gate reads unknown mem_* keys as
     // informational rows, never as pass/fail.
     rec << "    \"mem_peak_rss_kb\": " << peakRssKb() << ",\n"

@@ -46,6 +46,11 @@
  *                 runJobs() is in flight; tail with
  *                 scripts/specrt_top.py.
  *
+ * Each artifact a --*-out flag wrote adds its cost to the record's
+ * "obs" object: "obs": {"trace": {"render_ms": ..., "write_ms": ...,
+ * "bytes": ...}, ...}, one entry per written artifact
+ * (obs::Recorders::write measures them).
+ *
  * The JSON record also always carries host memory figures --
  * mem_peak_rss_kb (getrusage) and mem_arena_hwm_blocks (the largest
  * message-arena high-water mark) -- which the perf gate reads as

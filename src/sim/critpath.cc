@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "sim/artifact_writer.hh"
 #include "sim/sim_context.hh"
 
 namespace specrt
@@ -61,10 +62,13 @@ Recorder::addTxn(const TxnRecord &r)
     h.minElem = std::min(h.minElem, r.elem);
     h.maxElem = std::max(h.maxElem, r.elem);
 
-    top.push_back(r);
-    std::sort(top.begin(), top.end(), slowerThan);
+    // Most misses are not among the slowest: one compare rejects
+    // them; the rest binary-insert into the sorted list.
+    if (top.size() == topK && !slowerThan(r, top.back()))
+        return;
+    top.insert(std::upper_bound(top.begin(), top.end(), r, slowerThan), r);
     if (top.size() > topK)
-        top.resize(topK);
+        top.pop_back();
 }
 
 void
@@ -152,89 +156,49 @@ Recorder::summaryLine() const
 namespace
 {
 
-/** Integer-exact numeric literal (matches the timeline's putValue). */
-std::string
-num(double v)
-{
-    char buf[40];
-    if (v == static_cast<double>(static_cast<long long>(v))) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-    }
-    return buf;
-}
-
-std::string
-jsonStr(const std::string &s)
-{
-    std::string out = "\"";
-    for (char ch : s) {
-        switch (ch) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char esc[8];
-                std::snprintf(esc, sizeof(esc), "\\u%04x", ch);
-                out += esc;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
-void
-event(std::string &out, bool &first, const std::string &body)
+/** Separate the next event from the previous one. */
+ArtifactWriter &
+event(ArtifactWriter &w, bool &first)
 {
     if (!first)
-        out += ',';
+        w << ',';
     first = false;
-    out += '\n';
-    out += body;
+    return w << '\n';
 }
 
-/** One async begin/end pair on the critpath track. */
+/**
+ * One async begin/end pair on the critpath track; @p args is raw JSON
+ * for the begin event ("" for none).
+ */
 void
-asyncSlice(std::string &out, bool &first, const std::string &id,
-           const std::string &name, NodeId tid, double ts_b,
-           double ts_e, const std::string &args)
+asyncSlice(ArtifactWriter &w, bool &first, std::string_view id,
+           std::string_view name, NodeId tid, double ts_b, double ts_e,
+           std::string_view args)
 {
-    std::string b = "{\"cat\":\"critpath\",\"name\":" + jsonStr(name) +
-                    ",\"ph\":\"b\",\"id\":" + jsonStr(id) +
-                    ",\"ts\":" + num(ts_b) +
-                    ",\"pid\":" + std::to_string(Recorder::perfettoPid) +
-                    ",\"tid\":" + std::to_string(tid);
-    if (!args.empty())
-        b += ",\"args\":" + args;
-    b += "}";
-    event(out, first, b);
-    event(out, first,
-          "{\"cat\":\"critpath\",\"name\":" + jsonStr(name) +
-              ",\"ph\":\"e\",\"id\":" + jsonStr(id) +
-              ",\"ts\":" + num(ts_e) +
-              ",\"pid\":" + std::to_string(Recorder::perfettoPid) +
-              ",\"tid\":" + std::to_string(tid) + "}");
+    for (bool begin : {true, false}) {
+        event(w, first) << "{\"cat\":\"critpath\",\"name\":";
+        w.quoted(name) << ",\"ph\":\"" << (begin ? 'b' : 'e')
+                       << "\",\"id\":";
+        w.quoted(id) << ",\"ts\":";
+        w.num(begin ? ts_b : ts_e) << ",\"pid\":" << Recorder::perfettoPid
+                                   << ",\"tid\":" << tid;
+        if (begin && !args.empty())
+            w << ",\"args\":" << args;
+        w << '}';
+    }
 }
 
 } // namespace
 
 void
-Recorder::appendTraceEvents(std::string &out, bool &first) const
+Recorder::appendTraceEvents(ArtifactWriter &w, bool &first) const
 {
     if (top.empty() && !hasData())
         return;
 
-    event(out, first,
-          "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-              std::to_string(perfettoPid) +
-              ",\"args\":{\"name\":\"critical path\"}}");
+    event(w, first) << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
+                    << perfettoPid
+                    << ",\"args\":{\"name\":\"critical path\"}}";
 
     std::vector<NodeId> nodes;
     for (const TxnRecord &t : top)
@@ -243,30 +207,27 @@ Recorder::appendTraceEvents(std::string &out, bool &first) const
             nodes.push_back(t.node);
     std::sort(nodes.begin(), nodes.end());
     for (NodeId n : nodes)
-        event(out, first,
-              "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-                  std::to_string(perfettoPid) +
-                  ",\"tid\":" + std::to_string(n) +
-                  ",\"args\":{\"name\":\"node " + std::to_string(n) +
-                  " slow loads\"}}");
+        event(w, first) << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":"
+                        << perfettoPid << ",\"tid\":" << n
+                        << ",\"args\":{\"name\":\"node " << n
+                        << " slow loads\"}}";
 
     for (const TxnRecord &t : top) {
-        std::string id =
-            std::to_string(t.node) + ":" + std::to_string(t.seq);
-        char ebuf[64];
-        std::snprintf(ebuf, sizeof(ebuf), "load 0x%llx",
-                      static_cast<unsigned long long>(t.elem));
-        std::string args =
-            "{\"home\":" + std::to_string(t.home) +
-            ",\"iter\":" + std::to_string(t.iter) +
-            ",\"seq\":" + std::to_string(t.seq) +
-            ",\"dir_wait\":" + num(t.dirWait) +
-            ",\"net\":" + num(t.net) +
-            ",\"retry\":" + num(t.retry) +
-            ",\"service\":" + num(t.service) + "}";
-        asyncSlice(out, first, id, ebuf, t.node,
+        ArtifactWriter id;
+        id << t.node << ':' << t.seq;
+        ArtifactWriter name;
+        name << "load 0x";
+        name.hex(t.elem);
+        ArtifactWriter args;
+        args << "{\"home\":" << t.home << ",\"iter\":" << t.iter
+             << ",\"seq\":" << t.seq << ",\"dir_wait\":";
+        args.num(t.dirWait) << ",\"net\":";
+        args.num(t.net) << ",\"retry\":";
+        args.num(t.retry) << ",\"service\":";
+        args.num(t.service) << '}';
+        asyncSlice(w, first, id.view(), name.view(), t.node,
                    static_cast<double>(t.start),
-                   static_cast<double>(t.end), args);
+                   static_cast<double>(t.end), args.view());
 
         // Child slices: canonical component order request-net,
         // dir-queue, retry, service (+reply-net). The remainder of
@@ -293,46 +254,47 @@ Recorder::appendTraceEvents(std::string &out, bool &first) const
             ++si;
             if (s.len <= 0)
                 continue;
-            asyncSlice(out, first,
-                       id + ":" + std::to_string(si), s.name, t.node,
-                       ts, ts + s.len, "");
+            ArtifactWriter child;
+            child << id.view() << ':' << si;
+            asyncSlice(w, first, child.view(), s.name, t.node, ts,
+                       ts + s.len, "");
             ts += s.len;
         }
     }
 
     std::string line = summaryLine();
-    if (!line.empty())
-        event(out, first,
-              "{\"name\":\"critpath summary\",\"ph\":\"i\",\"ts\":0,"
-              "\"pid\":" +
-                  std::to_string(perfettoPid) +
-                  ",\"tid\":0,\"s\":\"p\",\"args\":{\"summary\":" +
-                  jsonStr(line) + "}}");
+    if (!line.empty()) {
+        event(w, first)
+            << "{\"name\":\"critpath summary\",\"ph\":\"i\",\"ts\":0,"
+               "\"pid\":"
+            << perfettoPid << ",\"tid\":0,\"s\":\"p\",\"args\":{\"summary\":";
+        w.quoted(line) << "}}";
+    }
 }
 
 std::string
 Recorder::perfettoJson() const
 {
-    std::string out = "{\"traceEvents\":[";
+    ArtifactWriter w(top.size() * 1536 + 4096);
+    w << "{\"traceEvents\":[";
     bool first = true;
-    appendTraceEvents(out, first);
-    out += "\n],\n\"displayTimeUnit\":\"ms\",\n\"critpath\":{";
-    out += "\"summary\":" + jsonStr(summaryLine());
-    out += ",\"runs\":" + std::to_string(runsSeen);
-    out += ",\"txns\":" + std::to_string(txnsSeen);
-    out += ",\"procs\":" + std::to_string(procsMax);
-    out += ",\"run_ticks\":" + num(runTicksTotal);
-    out += ",\"busy\":" + num(busyTotal);
-    out += ",\"stall\":{";
+    appendTraceEvents(w, first);
+    w << "\n],\n\"displayTimeUnit\":\"ms\",\n\"critpath\":{\"summary\":";
+    w.quoted(summaryLine()) << ",\"runs\":" << runsSeen
+                            << ",\"txns\":" << txnsSeen
+                            << ",\"procs\":" << procsMax
+                            << ",\"run_ticks\":";
+    w.num(runTicksTotal) << ",\"busy\":";
+    w.num(busyTotal) << ",\"stall\":{";
     for (size_t c = 0; c < stall::numCauses; ++c) {
         if (c)
-            out += ',';
-        out += '"';
-        out += stall::causeName(static_cast<stall::Cause>(c));
-        out += "\":" + num(stallTotals[c]);
+            w << ',';
+        w << '"' << stall::causeName(static_cast<stall::Cause>(c))
+          << "\":";
+        w.num(stallTotals[c]);
     }
-    out += "}}}\n";
-    return out;
+    w << "}}}\n";
+    return w.take();
 }
 
 std::string

@@ -47,6 +47,8 @@
 namespace specrt
 {
 
+class ArtifactWriter;
+
 namespace critpath
 {
 
@@ -142,10 +144,10 @@ class Recorder
 
     /**
      * Append this recorder's async-track events to an existing
-     * traceEvents stream (sim/trace_export.cc merges them into the
+     * traceEvents array (sim/trace_export.cc merges them into the
      * combined trace JSON). @p first tracks comma placement.
      */
-    void appendTraceEvents(std::string &out, bool &first) const;
+    void appendTraceEvents(ArtifactWriter &w, bool &first) const;
 
   private:
     bool on = false;
@@ -156,7 +158,10 @@ class Recorder
     uint64_t runsSeen = 0;
     uint64_t txnsSeen = 0;
     std::map<NodeId, HomeAgg> homeAgg;
-    /** Kept sorted slowest-first, at most topK entries. */
+    /**
+     * Kept sorted slowest-first, at most topK entries; addTxn()
+     * rejects or binary-inserts, so a miss costs O(log topK).
+     */
     std::vector<TxnRecord> top;
 };
 

@@ -1,9 +1,9 @@
 #include "sim/sim_context.hh"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 
 #include "sim/trace_export.hh"
@@ -177,22 +177,42 @@ Recorders::render(Consumer c) const
     return artifact(c).render(*this);
 }
 
-bool
+Written
 Recorders::write(Consumer c, const std::string &path,
                  std::FILE *log) const
 {
+    using Clock = std::chrono::steady_clock;
+    auto ms = [](Clock::duration d) {
+        return std::chrono::duration<double, std::milli>(d).count();
+    };
     const Artifact &a = artifact(c);
-    std::ofstream os(path, std::ios::trunc);
-    if (os)
-        os << a.render(*this);
-    if (!os) {
+    Written w;
+    Clock::time_point t0 = Clock::now();
+    const std::string bytes = a.render(*this);
+    Clock::time_point t1 = Clock::now();
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    bool ok = f && std::fwrite(bytes.data(), 1, bytes.size(), f) ==
+                       bytes.size();
+    if (f && std::fclose(f) != 0)
+        ok = false;
+    w.renderMs = ms(t1 - t0);
+    w.writeMs = ms(Clock::now() - t1);
+    if (!ok) {
         std::fprintf(stderr, "[%s] failed to write %s\n", a.name,
                      path.c_str());
-        return false;
+        return w;
     }
+    w.ok = true;
+    w.bytes = bytes.size();
     std::fprintf(log, "[%s] wrote %s to %s\n", a.name,
                  a.describe(*this).c_str(), path.c_str());
-    return true;
+    return w;
+}
+
+const char *
+artifactName(Consumer c)
+{
+    return artifact(c).name;
 }
 
 } // namespace obs

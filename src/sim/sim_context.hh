@@ -69,6 +69,22 @@ class Engine;
 namespace obs
 {
 
+/** What Recorders::write() did, and what the artifact cost. */
+struct Written
+{
+    bool ok = false;
+    /** Host ms building the artifact's bytes. */
+    double renderMs = 0;
+    /** Host ms handing them to the file (open, write, close). */
+    double writeMs = 0;
+    uint64_t bytes = 0;
+
+    explicit operator bool() const { return ok; }
+};
+
+/** The artifact's name ("trace", "timeline", "critpath", "events"). */
+const char *artifactName(Consumer c);
+
 /**
  * The recorders behind the hub's artifact consumers. A SimContext
  * owns one set; bench::runJobs captures each campaign job's set and
@@ -102,12 +118,12 @@ struct Recorders
     std::string render(Consumer c) const;
 
     /**
-     * Write @p c's artifact to @p path and report it on @p log
-     * ("[trace] wrote 16384 records to <path>", or the failure).
-     * @return success.
+     * Write @p c's artifact to @p path in one write and report it on
+     * @p log ("[trace] wrote 16384 records to <path>", or the
+     * failure).
      */
-    bool write(Consumer c, const std::string &path,
-               std::FILE *log) const;
+    Written write(Consumer c, const std::string &path,
+                  std::FILE *log) const;
 };
 
 } // namespace obs

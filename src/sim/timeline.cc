@@ -1,10 +1,10 @@
 #include "sim/timeline.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <iomanip>
-#include <sstream>
+#include <bit>
 
+#include "sim/artifact_writer.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/sim_context.hh"
 
@@ -82,10 +82,45 @@ Timeline::sample(Tick tick, uint32_t run,
     pendingSpecTransitions = 0;
 }
 
+// --- heatmap ----------------------------------------------------------
+
+static_assert(maxProcs <= 64, "HeatTable packs a home into 6 bits");
+
+const HeatCell *
+HeatTable::find(HeatKey k) const
+{
+    if (slots.empty())
+        return nullptr;
+    const Slot &s = slots[probe(pack(k))];
+    return s.key == vacant ? nullptr : &s.cell;
+}
+
+void
+HeatTable::grow()
+{
+    std::vector<Slot> old = std::exchange(
+        slots, std::vector<Slot>(slots.empty() ? 64 : 2 * slots.size()));
+    shift = 64 - static_cast<unsigned>(std::countr_zero(slots.size()));
+    for (const Slot &s : old)
+        if (s.key != vacant)
+            slots[probe(s.key)] = s;
+}
+
+std::vector<std::pair<HeatKey, HeatCell>>
+HeatTable::sorted() const
+{
+    std::vector<std::pair<HeatKey, HeatCell>> out;
+    out.reserve(used);
+    forEach([&](HeatKey k, const HeatCell &c) { out.emplace_back(k, c); });
+    std::sort(out.begin(), out.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    return out;
+}
+
 namespace
 {
 
-inline std::pair<NodeId, Addr>
+inline HeatKey
 heatKey(NodeId home, Addr elem)
 {
     return {home, elem >> Timeline::bucketShift};
@@ -132,64 +167,36 @@ Timeline::merge(const Timeline &shard)
         std::copy(ss.values.begin(), ss.values.end(),
                   series_[idx].values.begin() + oldRows);
     }
-    for (const auto &[key, cell] : shard.heat) {
-        HeatCell &dst = heat[key];
-        dst.accesses += cell.accesses;
-        dst.queued += cell.queued;
-        dst.conflicts += cell.conflicts;
-    }
+    // Sums commute: table order is fine here.
+    shard.heat.forEach(
+        [&](HeatKey key, const HeatCell &cell) { heat[key].add(cell); });
     pendingSpecTransitions += shard.pendingSpecTransitions;
 }
-
-namespace
-{
-
-/**
- * Deterministic shortest-exact double formatting: counters and
- * gauges are almost always integral, so print those without an
- * exponent or trailing zeros; everything else gets max_digits10.
- */
-void
-putValue(std::ostream &os, double v)
-{
-    double ipart;
-    if (std::modf(v, &ipart) == 0.0 && v >= -9.0e15 && v <= 9.0e15) {
-        os << static_cast<int64_t>(v);
-    } else {
-        std::ostringstream tmp;
-        tmp << std::setprecision(17) << v;
-        os << tmp.str();
-    }
-}
-
-} // namespace
 
 std::string
 Timeline::csv() const
 {
-    std::ostringstream os;
-    os << "tick,run";
+    size_t cells = ticks_.size() * (series_.size() + 2);
+    ArtifactWriter w(cells * 8 + heat.size() * 72 + 4096);
+    w << "tick,run";
     for (const Series &s : series_)
-        os << ',' << s.name;
-    os << '\n';
+        w << ',' << s.name;
+    w << '\n';
     for (size_t row = 0; row < ticks_.size(); ++row) {
-        os << ticks_[row] << ',' << runs_[row];
-        for (const Series &s : series_) {
-            os << ',';
-            putValue(os, s.values[row]);
-        }
-        os << '\n';
+        w << ticks_[row] << ',' << runs_[row];
+        for (const Series &s : series_)
+            (w << ',').num(s.values[row]);
+        w << '\n';
     }
     // Heatmap footer: comment lines so a plain CSV reader sees only
     // the matrix, in deterministic (home, bucket) order.
-    for (const auto &[key, cell] : heat) {
-        os << "# heat home=" << key.first << " bucket=0x" << std::hex
-           << key.second << std::dec
-           << " accesses=" << cell.accesses
-           << " queued=" << cell.queued
-           << " conflicts=" << cell.conflicts << '\n';
+    for (const auto &[key, cell] : heat.sorted()) {
+        w << "# heat home=" << key.home << " bucket=0x";
+        w.hex(key.bucket) << " accesses=" << cell.accesses
+                          << " queued=" << cell.queued
+                          << " conflicts=" << cell.conflicts << '\n';
     }
-    return os.str();
+    return w.take();
 }
 
 namespace
@@ -207,10 +214,10 @@ hotter(const HeatCell &a, const HeatCell &b)
 }
 
 void
-putCell(std::ostream &os, const HeatCell &c)
+putCell(ArtifactWriter &w, const HeatCell &c)
 {
-    os << "conflicts=" << c.conflicts << " queued=" << c.queued
-       << " accesses=" << c.accesses;
+    w << "conflicts=" << c.conflicts << " queued=" << c.queued
+      << " accesses=" << c.accesses << '\n';
 }
 
 } // namespace
@@ -221,47 +228,37 @@ Timeline::hotSummary(size_t topK) const
     if (heat.empty())
         return std::string();
 
-    std::map<NodeId, HeatCell> byNode;
-    for (const auto &[key, cell] : heat) {
-        HeatCell &dst = byNode[key.first];
-        dst.accesses += cell.accesses;
-        dst.queued += cell.queued;
-        dst.conflicts += cell.conflicts;
-    }
-
     // Stable hot order: contention desc, key asc as the tie-break
-    // (std::map iteration is key-ascending, stable_sort keeps it).
-    std::vector<std::pair<NodeId, HeatCell>> nodes(byNode.begin(),
-                                                   byNode.end());
-    std::stable_sort(nodes.begin(), nodes.end(),
-                     [](const auto &a, const auto &b) {
-                         return hotter(a.second, b.second);
-                     });
-    std::vector<std::pair<std::pair<NodeId, Addr>, HeatCell>> cells(
-        heat.begin(), heat.end());
-    std::stable_sort(cells.begin(), cells.end(),
-                     [](const auto &a, const auto &b) {
-                         return hotter(a.second, b.second);
-                     });
+    // (both lists start key-ascending, stable_sort keeps it).
+    std::vector<std::pair<HeatKey, HeatCell>> cells = heat.sorted();
+    std::vector<std::pair<NodeId, HeatCell>> nodes;
+    for (const auto &[key, cell] : cells) {
+        if (nodes.empty() || nodes.back().first != key.home)
+            nodes.emplace_back(key.home, HeatCell{});
+        nodes.back().second.add(cell);
+    }
+    auto byHeat = [](const auto &a, const auto &b) {
+        return hotter(a.second, b.second);
+    };
+    std::stable_sort(nodes.begin(), nodes.end(), byHeat);
+    std::stable_sort(cells.begin(), cells.end(), byHeat);
 
-    std::ostringstream os;
-    os << "directory contention summary:\n  hot home nodes:\n";
+    ArtifactWriter w;
+    w << "directory contention summary:\n  hot home nodes:\n";
     for (size_t i = 0; i < nodes.size() && i < topK; ++i) {
-        os << "    node " << nodes[i].first << ": ";
-        putCell(os, nodes[i].second);
-        os << '\n';
+        w << "    node " << nodes[i].first << ": ";
+        putCell(w, nodes[i].second);
     }
-    os << "  hot elements (" << (1u << bucketShift)
-       << "-word buckets):\n";
+    w << "  hot elements (" << (1u << bucketShift) << "-word buckets):\n";
     for (size_t i = 0; i < cells.size() && i < topK; ++i) {
-        Addr lo = cells[i].first.second << bucketShift;
+        Addr lo = cells[i].first.bucket << bucketShift;
         Addr hi = lo + (Addr(1) << bucketShift) - 1;
-        os << "    node " << cells[i].first.first << " elems 0x"
-           << std::hex << lo << "-0x" << hi << std::dec << ": ";
-        putCell(os, cells[i].second);
-        os << '\n';
+        w << "    node " << cells[i].first.home << " elems 0x";
+        w.hex(lo) << "-0x";
+        w.hex(hi) << ": ";
+        putCell(w, cells[i].second);
     }
-    return os.str();
+    return w.take();
 }
 
 // --- RunSampler -------------------------------------------------------

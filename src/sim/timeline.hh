@@ -37,6 +37,7 @@
 #ifndef SPECRT_SIM_TIMELINE_HH
 #define SPECRT_SIM_TIMELINE_HH
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -65,6 +66,116 @@ struct HeatCell
     uint64_t accesses = 0;   ///< directory requests processed
     uint64_t queued = 0;     ///< requests that waited behind a txn
     uint64_t conflicts = 0;  ///< abort-attributed conflicts
+
+    void
+    add(const HeatCell &o)
+    {
+        accesses += o.accesses;
+        queued += o.queued;
+        conflicts += o.conflicts;
+    }
+};
+
+/** A heatmap cell's key: home node, element bucket. */
+struct HeatKey
+{
+    NodeId home = 0;
+    Addr bucket = 0;
+
+    auto operator<=>(const HeatKey &) const = default;
+};
+
+/**
+ * The heatmap: an open-addressing hash table, so the per-access feed
+ * is O(1) and allocation-free once warm. Iteration order is the
+ * table's; sorted() gives the (home, bucket) order exports need.
+ * A slot is 32 bytes (the key packed into one word) and the table at
+ * most 3/4 full, which keeps it no larger than the std::map it
+ * replaced.
+ */
+class HeatTable
+{
+  public:
+    /** The cell of @p k, created zeroed on first use. */
+    HeatCell &
+    operator[](HeatKey k)
+    {
+        if (4 * (used + 1) > 3 * slots.size())
+            grow();
+        uint64_t key = pack(k);
+        Slot &s = slots[probe(key)];
+        if (s.key == vacant) {
+            s.key = key;
+            ++used;
+        }
+        return s.cell;
+    }
+
+    /** The cell of @p k, or null when never touched. */
+    const HeatCell *find(HeatKey k) const;
+
+    size_t size() const { return used; }
+    bool empty() const { return used == 0; }
+
+    /** f(HeatKey, const HeatCell &) over every cell, table order. */
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        for (const Slot &s : slots)
+            if (s.key != vacant)
+                f(unpack(s.key), s.cell);
+    }
+
+    /** Every cell in (home, bucket) order. */
+    std::vector<std::pair<HeatKey, HeatCell>> sorted() const;
+
+  private:
+    /**
+     * Home in the top 6 bits (nodes < maxProcs = 64), the bucket --
+     * an address shifted right by bucketShift -- below. All ones
+     * would be a bucket no address has: the vacant mark.
+     */
+    static constexpr unsigned homeShift = 58;
+    static constexpr uint64_t vacant = ~uint64_t(0);
+
+    static uint64_t
+    pack(HeatKey k)
+    {
+        return uint64_t(k.home) << homeShift | k.bucket;
+    }
+
+    static HeatKey
+    unpack(uint64_t key)
+    {
+        return {NodeId(key >> homeShift),
+                key & ((uint64_t(1) << homeShift) - 1)};
+    }
+
+    struct Slot
+    {
+        uint64_t key = vacant;
+        HeatCell cell;
+    };
+
+    /** Slot of @p key, or the vacant slot where it belongs. */
+    size_t
+    probe(uint64_t key) const
+    {
+        // Fibonacci hashing: the product's top bits pick the slot.
+        size_t mask = slots.size() - 1;
+        for (size_t i = (key * 0x9e3779b97f4a7c15ULL) >> shift;;
+             i = (i + 1) & mask)
+            if (slots[i].key == vacant || slots[i].key == key)
+                return i;
+    }
+
+    void grow();
+
+    std::vector<Slot> slots;
+    size_t used = 0;
+    /** 64 - log2(slots.size()). */
+    unsigned shift = 64;
 };
 
 class Timeline
@@ -125,11 +236,7 @@ class Timeline
     /** One §3.2 spec-bit / §3.3 time-stamp change (built-in series). */
     void noteSpecTransition() { ++pendingSpecTransitions; }
 
-    const std::map<std::pair<NodeId, Addr>, HeatCell> &
-    heatMap() const
-    {
-        return heat;
-    }
+    const HeatTable &heatMap() const { return heat; }
 
     // --- campaign merge -----------------------------------------------
 
@@ -147,7 +254,7 @@ class Timeline
     /**
      * The sample matrix as CSV: header "tick,run,<series...>", one
      * row per sample, then the heatmap as '#'-prefixed footer lines
-     * (deterministic map order).
+     * in (home, bucket) order.
      */
     std::string csv() const;
 
@@ -172,7 +279,7 @@ class Timeline
     std::vector<Series> series_;
     std::map<std::string, size_t> seriesIndex;
 
-    std::map<std::pair<NodeId, Addr>, HeatCell> heat;
+    HeatTable heat;
 };
 
 /** The current context's timeline (per-instance, like the trace). */

@@ -1,11 +1,9 @@
 #include "sim/trace_export.hh"
 
-#include <cinttypes>
-#include <cstdio>
-#include <map>
 #include <set>
-#include <sstream>
+#include <vector>
 
+#include "sim/artifact_writer.hh"
 #include "sim/critpath.hh"
 #include "sim/timeline.hh"
 #include "sim/trace.hh"
@@ -40,58 +38,46 @@ pidOf(const TraceRecord &r)
                                  : static_cast<int>(r.node);
 }
 
-std::string
-esc(const char *s)
-{
-    std::string out;
-    if (!s)
-        return out;
-    for (; *s; ++s) {
-        char c = *s;
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-/** One trace event object; `extra` is raw JSON appended verbatim. */
+/** Open one trace event up to its name, which the caller writes. */
 void
-event(std::ostringstream &os, bool &first, const std::string &name,
-      const char *ph, uint64_t ts, int pid, int tid,
-      const std::string &extra = "")
+open(ArtifactWriter &w, bool &first)
 {
-    os << (first ? "\n" : ",\n") << "  {\"name\": \"" << name
-       << "\", \"ph\": \"" << ph << "\", \"ts\": " << ts
-       << ", \"pid\": " << pid << ", \"tid\": " << tid;
-    if (!extra.empty())
-        os << ", " << extra;
-    os << "}";
+    w << (first ? "\n" : ",\n") << "  {\"name\": \"";
     first = false;
 }
 
-std::string
-argsCommon(const TraceRecord &r)
+/**
+ * Close the name and write the fields every event has; the caller
+ * adds its own fields (", ...") and the closing brace.
+ */
+void
+head(ArtifactWriter &w, const char *ph, uint64_t ts, int pid, int tid)
 {
-    std::ostringstream os;
-    os << "\"args\": {\"loop\": " << r.loop << ", \"iter\": " << r.iter;
-    if (r.addr != invalidAddr)
-        os << ", \"elem\": \"0x" << std::hex << r.addr << std::dec
-           << "\"";
-    return os.str();
+    w << "\", \"ph\": \"" << ph << "\", \"ts\": " << ts
+      << ", \"pid\": " << pid << ", \"tid\": " << tid;
 }
 
-} // namespace
-
-namespace
+/** A metadata event naming process @p pid or its lane @p tid. */
+void
+meta(ArtifactWriter &w, bool &first, const char *what, int pid, int tid,
+     std::string_view name)
 {
+    open(w, first);
+    w << what;
+    head(w, "M", 0, pid, tid);
+    w << ", \"args\": {\"name\": \"" << name << "\"}}";
+}
+
+/** The args every record carries; the caller closes the object. */
+void
+argsCommon(ArtifactWriter &w, const TraceRecord &r)
+{
+    w << "\"args\": {\"loop\": " << r.loop << ", \"iter\": " << r.iter;
+    if (r.addr != invalidAddr) {
+        w << ", \"elem\": \"0x";
+        w.hex(r.addr) << '"';
+    }
+}
 
 /**
  * The timeline's sampled series as Perfetto counter tracks: one "C"
@@ -100,22 +86,22 @@ namespace
  * protocol activity line up in the viewer.
  */
 void
-counterTracks(std::ostringstream &os, bool &first,
-              const timeline::Timeline &tl)
+counterTracks(ArtifactWriter &w, bool &first, const timeline::Timeline &tl)
 {
     if (tl.numSamples() == 0)
         return;
-    event(os, first, "process_name", "M", 0, counterPid, 0,
-          "\"args\": {\"name\": \"metrics\"}");
+    meta(w, first, "process_name", counterPid, 0, "metrics");
     const std::vector<Tick> &ticks = tl.sampleTicks();
     const std::vector<uint32_t> &runs = tl.sampleRuns();
     for (const timeline::Timeline::Series &s : tl.allSeries()) {
+        ArtifactWriter name;
+        name.escaped(s.name.c_str());
         for (size_t row = 0; row < ticks.size(); ++row) {
-            std::ostringstream extra;
-            extra << "\"args\": {\"value\": " << s.values[row]
-                  << ", \"run\": " << runs[row] << "}";
-            event(os, first, esc(s.name.c_str()), "C", ticks[row],
-                  counterPid, 0, extra.str());
+            open(w, first);
+            w << name.view();
+            head(w, "C", ticks[row], counterPid, 0);
+            w << ", \"args\": {\"value\": ";
+            w.g(s.values[row]) << ", \"run\": " << runs[row] << "}}";
         }
     }
 }
@@ -125,123 +111,132 @@ counterTracks(std::ostringstream &os, bool &first,
 std::string
 chromeTraceJson(const TraceBuffer &buf, const timeline::Timeline *tl)
 {
-    std::ostringstream os;
-    os << "{\"traceEvents\": [";
+    // One reservation: ~170 bytes per event, two events for a message
+    // record; ~100 per counter row.
+    size_t counters = tl ? tl->numSamples() * tl->numSeries() : 0;
+    ArtifactWriter w(buf.size() * 256 + counters * 112 + 4096);
+    w << "{\"traceEvents\": [";
     bool first = true;
 
     // Metadata: name the per-node processes and their lanes, plus
-    // the machine-scope track.
-    std::set<int> pids;
-    for (size_t i = 0; i < buf.size(); ++i)
-        pids.insert(pidOf(buf.at(i)));
-    for (int pid : pids) {
-        std::ostringstream name;
-        if (pid == machinePid)
-            name << "machine";
-        else
-            name << "node " << pid;
-        event(os, first, "process_name", "M", 0, pid, 0,
-              "\"args\": {\"name\": \"" + name.str() + "\"}");
-        event(os, first, "thread_name", "M", 0, pid, tidIter,
-              "\"args\": {\"name\": \"iterations\"}");
-        if (pid != machinePid) {
-            event(os, first, "thread_name", "M", 0, pid, tidMsg,
-                  "\"args\": {\"name\": \"messages\"}");
-            event(os, first, "thread_name", "M", 0, pid, tidProto,
-                  "\"args\": {\"name\": \"protocol\"}");
+    // the machine-scope track (last: its pid is above every node's).
+    std::vector<bool> nodeSeen;
+    bool machineSeen = false;
+    for (size_t i = 0; i < buf.size(); ++i) {
+        int pid = pidOf(buf.at(i));
+        if (pid == machinePid) {
+            machineSeen = true;
+            continue;
         }
+        if (static_cast<size_t>(pid) >= nodeSeen.size())
+            nodeSeen.resize(pid + 1, false);
+        nodeSeen[pid] = true;
+    }
+    for (size_t n = 0; n < nodeSeen.size(); ++n) {
+        if (!nodeSeen[n])
+            continue;
+        int pid = static_cast<int>(n);
+        ArtifactWriter name;
+        name << "node " << pid;
+        meta(w, first, "process_name", pid, 0, name.view());
+        meta(w, first, "thread_name", pid, tidIter, "iterations");
+        meta(w, first, "thread_name", pid, tidMsg, "messages");
+        meta(w, first, "thread_name", pid, tidProto, "protocol");
+    }
+    if (machineSeen) {
+        meta(w, first, "process_name", machinePid, 0, "machine");
+        meta(w, first, "thread_name", machinePid, tidIter, "iterations");
     }
 
     for (size_t i = 0; i < buf.size(); ++i) {
         const TraceRecord &r = buf.at(i);
         int pid = pidOf(r);
         const char *cat = eventKindName(opCategory(r.op));
-        std::ostringstream nm;
+        open(w, first);
 
         switch (r.op) {
           case TraceOp::IterBegin:
           case TraceOp::IterEnd:
-            nm << "iter " << r.iter;
-            event(os, first, nm.str(),
-                  r.op == TraceOp::IterBegin ? "B" : "E", r.tick, pid,
-                  tidIter, argsCommon(r) + "}");
+            w << "iter " << r.iter;
+            head(w, r.op == TraceOp::IterBegin ? "B" : "E", r.tick, pid,
+                 tidIter);
+            w << ", ";
+            argsCommon(w, r);
+            w << "}}";
             break;
 
           case TraceOp::LoopBegin:
           case TraceOp::LoopEnd:
-            nm << "loop " << r.loop << " ("
-               << esc(r.label ? r.label : "?") << ")";
-            event(os, first, nm.str(),
-                  r.op == TraceOp::LoopBegin ? "B" : "E", r.tick, pid,
-                  tidIter, argsCommon(r) + "}");
+            w << "loop " << r.loop << " (";
+            w.escaped(r.label ? r.label : "?") << ')';
+            head(w, r.op == TraceOp::LoopBegin ? "B" : "E", r.tick, pid,
+                 tidIter);
+            w << ", ";
+            argsCommon(w, r);
+            w << "}}";
             break;
 
           case TraceOp::MsgSend:
           case TraceOp::MsgRecv: {
-            nm << esc(r.label ? r.label : "msg");
+            const char *name = r.label ? r.label : "msg";
+            w.escaped(name);
             // A dur-1 slice on the endpoint's message lane...
-            std::ostringstream extra;
-            extra << "\"dur\": 1, \"cat\": \"" << cat << "\", "
-                  << argsCommon(r) << ", \"peer\": " << r.peer
-                  << ", \"flow\": " << r.b << "}";
-            event(os, first, nm.str(), "X", r.tick, pid, tidMsg,
-                  extra.str());
+            head(w, "X", r.tick, pid, tidMsg);
+            w << ", \"dur\": 1, \"cat\": \"" << cat << "\", ";
+            argsCommon(w, r);
+            w << ", \"peer\": " << r.peer << ", \"flow\": " << r.b
+              << "}}";
             // ...plus a flow arrow endpoint keyed by the flow id.
-            std::ostringstream fl;
-            fl << "\"cat\": \"" << cat << "\", \"id\": " << r.b;
+            open(w, first);
+            w.escaped(name);
+            head(w, r.op == TraceOp::MsgSend ? "s" : "f", r.tick, pid,
+                 tidMsg);
+            w << ", \"cat\": \"" << cat << "\", \"id\": " << r.b;
             if (r.op == TraceOp::MsgRecv)
-                fl << ", \"bp\": \"e\"";
-            event(os, first, nm.str(),
-                  r.op == TraceOp::MsgSend ? "s" : "f", r.tick, pid,
-                  tidMsg, fl.str());
+                w << ", \"bp\": \"e\"";
+            w << '}';
             break;
           }
 
-          case TraceOp::Abort: {
-            nm << "ABORT: " << esc(r.label ? r.label : "?");
-            std::ostringstream extra;
-            extra << "\"s\": \"g\", \"cat\": \"" << cat << "\", "
-                  << argsCommon(r) << ", \"node\": " << r.node << "}";
-            event(os, first, nm.str(), "i", r.tick, pid, tidProto,
-                  extra.str());
+          case TraceOp::Abort:
+            w << "ABORT: ";
+            w.escaped(r.label ? r.label : "?");
+            head(w, "i", r.tick, pid, tidProto);
+            w << ", \"s\": \"g\", \"cat\": \"" << cat << "\", ";
+            argsCommon(w, r);
+            w << ", \"node\": " << r.node << "}}";
             break;
-          }
 
-          default: {
+          default:
             // Protocol-state instants: cache/dir transitions,
             // spec-bit and time-stamp updates, grants, checkpoints,
             // commits.
-            nm << traceOpName(r.op);
+            w << traceOpName(r.op);
             if (r.label)
-                nm << " " << esc(r.label);
-            std::ostringstream extra;
-            extra << "\"s\": \"t\", \"cat\": \"" << cat << "\", "
-                  << argsCommon(r) << ", \"old\": " << r.a
-                  << ", \"new\": " << r.b << "}";
-            int tid = pid == machinePid ? tidIter : tidProto;
-            event(os, first, nm.str(), "i", r.tick, pid, tid,
-                  extra.str());
+                w << ' ';
+            w.escaped(r.label);
+            head(w, "i", r.tick, pid,
+                 pid == machinePid ? tidIter : tidProto);
+            w << ", \"s\": \"t\", \"cat\": \"" << cat << "\", ";
+            argsCommon(w, r);
+            w << ", \"old\": " << r.a << ", \"new\": " << r.b << "}}";
             break;
-          }
         }
     }
 
     if (tl)
-        counterTracks(os, first, *tl);
+        counterTracks(w, first, *tl);
 
     // The critical-path recorder's async track (slow load misses as
     // nested per-component slices) shares the tick timebase.
     const critpath::Recorder &cp = critpath::current();
-    if (cp.hasData()) {
-        std::string cpEvents;
-        cp.appendTraceEvents(cpEvents, first);
-        os << cpEvents;
-    }
+    if (cp.hasData())
+        cp.appendTraceEvents(w, first);
 
-    os << "\n],\n\"displayTimeUnit\": \"ns\",\n"
-       << "\"otherData\": {\"recorded\": " << buf.recorded()
-       << ", \"dropped\": " << buf.dropped() << "}}\n";
-    return os.str();
+    w << "\n],\n\"displayTimeUnit\": \"ns\",\n"
+      << "\"otherData\": {\"recorded\": " << buf.recorded()
+      << ", \"dropped\": " << buf.dropped() << "}}\n";
+    return w.take();
 }
 
 std::string
@@ -250,7 +245,7 @@ textSummary(const TraceBuffer &buf, const timeline::Timeline *tl)
     uint64_t perOp[numTraceOps] = {};
     std::set<NodeId> nodes;
     Tick lo = maxTick, hi = 0;
-    std::ostringstream aborts;
+    ArtifactWriter aborts;
 
     for (size_t i = 0; i < buf.size(); ++i) {
         const TraceRecord &r = buf.at(i);
@@ -263,42 +258,36 @@ textSummary(const TraceBuffer &buf, const timeline::Timeline *tl)
             hi = r.tick;
         if (r.op == TraceOp::Abort) {
             aborts << "  tick " << r.tick << " node " << r.node
-                   << " loop " << r.loop << " iter " << r.iter
-                   << ": " << (r.label ? r.label : "?") << "\n";
+                   << " loop " << r.loop << " iter " << r.iter << ": "
+                   << (r.label ? r.label : "?") << '\n';
         }
     }
 
-    std::ostringstream os;
-    os << "trace summary: " << buf.size() << " records retained, "
-       << buf.recorded() << " recorded, " << buf.dropped()
-       << " dropped";
+    ArtifactWriter w;
+    w << "trace summary: " << buf.size() << " records retained, "
+      << buf.recorded() << " recorded, " << buf.dropped() << " dropped";
     if (buf.size())
-        os << ", ticks [" << lo << ", " << hi << "], "
-           << nodes.size() << " nodes";
-    os << "\n";
+        w << ", ticks [" << lo << ", " << hi << "], " << nodes.size()
+          << " nodes";
+    w << '\n';
     for (size_t i = 0; i < numTraceOps; ++i) {
         if (!perOp[i])
             continue;
         TraceOp op = static_cast<TraceOp>(i);
-        os << "  " << traceOpName(op) << " ("
-           << eventKindName(opCategory(op)) << "): " << perOp[i]
-           << "\n";
+        w << "  " << traceOpName(op) << " ("
+          << eventKindName(opCategory(op)) << "): " << perOp[i] << '\n';
     }
-    std::string ab = aborts.str();
-    if (!ab.empty())
-        os << "aborts:\n" << ab;
-    if (tl) {
-        std::string hot = tl->hotSummary();
-        if (!hot.empty())
-            os << hot;
-    }
+    if (aborts.size())
+        w << "aborts:\n" << aborts.view();
+    if (tl)
+        w << tl->hotSummary();
     const critpath::Recorder &cp = critpath::current();
     if (cp.hasData()) {
         std::string line = cp.summaryLine();
         if (!line.empty())
-            os << "critical path: " << line << "\n";
+            w << "critical path: " << line << '\n';
     }
-    return os.str();
+    return w.take();
 }
 
 } // namespace trace

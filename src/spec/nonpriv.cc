@@ -20,29 +20,30 @@ namespace
 struct TraceTagBits
 {
     TraceTagBits(const NPTagBits &t_, bool write_)
-        : t(t_), write(write_), on(trace::enabled()),
+        : t(t_), before(t_), write(write_), on(trace::enabled()),
           tlOn(timeline::enabled())
     {
-        if (on || tlOn)
-            before = npPackTag(t, trace::ctx().node);
     }
 
     ~TraceTagBits()
     {
-        if (!on && !tlOn)
-            return;
-        uint32_t after = npPackTag(t, trace::ctx().node);
-        if (tlOn && after != before)
+        // The timeline compares the raw fields: packing Own needs
+        // the node, which only a traced run publishes (trace::ctx()).
+        if (tlOn && (t.first != before.first || t.noShr != before.noShr ||
+                     t.rOnly != before.rOnly))
             timeline::specTransition();
-        if (on)
-            trace::specBits(write, before, after);
+        if (on) {
+            NodeId self = trace::ctx().node;
+            trace::specBits(write, npPackTag(before, self),
+                            npPackTag(t, self));
+        }
     }
 
     const NPTagBits &t;
+    const NPTagBits before;
     bool write;
     bool on;
     bool tlOn;
-    uint32_t before = 0;
 };
 
 struct TraceDirBits

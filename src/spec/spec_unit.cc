@@ -17,52 +17,6 @@ SpecCacheUnit::SpecCacheUnit(SpecSystem &sys_, NodeId node_)
 {
 }
 
-namespace
-{
-
-/** Grow the parallel (tags, flags) arrays to cover [0, first+elems). */
-template <typename T>
-void
-growSlots(std::vector<T> &tags, std::vector<uint8_t> &flags,
-          uint32_t first, uint32_t elems)
-{
-    size_t want = size_t(first) + elems;
-    size_t cap = tags.empty() ? 256 : tags.size();
-    while (cap < want)
-        cap *= 2;
-    tags.resize(cap);
-    flags.resize(cap, 0);
-}
-
-} // namespace
-
-void
-SpecCacheUnit::growNp(uint32_t first, uint32_t elems)
-{
-    growSlots(npTags, npLineFlag, first, elems);
-}
-
-void
-SpecCacheUnit::growPriv(uint32_t first, uint32_t elems)
-{
-    growSlots(privTags, privLineFlag, first, elems);
-}
-
-void
-SpecCacheUnit::dropLine(uint32_t first, uint32_t elems)
-{
-    if (first < npLineFlag.size() && npLineFlag[first]) {
-        npLineFlag[first] = 0;
-        std::fill(npTags.begin() + first,
-                  npTags.begin() + first + elems, NPTagBits{});
-    }
-    if (first < privLineFlag.size() && privLineFlag[first]) {
-        privLineFlag[first] = 0;
-        std::fill(privTags.begin() + first,
-                  privTags.begin() + first + elems, PrivTagBits{});
-    }
-}
-
 void
 SpecCacheUnit::onLoadHit(Addr addr, LineState state, IterNum iter)
 {
@@ -79,7 +33,7 @@ SpecCacheUnit::onLoadHit(Addr addr, LineState state, IterNum iter)
     trace::ScopedCtx tctx(sys.now(), node, addr, iter);
 
     if (range->type == TestType::NonPriv) {
-        NPTagBits &bits = npSlice(first, elems)[idx];
+        NPTagBits &bits = npTags.touch(first, elems)[idx];
         NPCacheResult res =
             npCacheRead(bits, state == LineState::Dirty);
         if (res.fail) {
@@ -107,7 +61,7 @@ SpecCacheUnit::onLoadHit(Addr addr, LineState state, IterNum iter)
                   "processor read of privatization-tested shared "
                   "array %#llx during the loop",
                   (unsigned long long)addr);
-    PrivTagBits &bits = privSlice(first, elems)[idx];
+    PrivTagBits &bits = privTags.touch(first, elems)[idx];
     PrivCacheResult res = privCacheRead(bits, iter);
     if (res.readFirst) {
         Msg m;
@@ -138,7 +92,7 @@ SpecCacheUnit::onStoreDirtyHit(Addr addr, IterNum iter)
     trace::ScopedCtx tctx(sys.now(), node, addr, iter);
 
     if (range->type == TestType::NonPriv) {
-        NPTagBits &bits = npSlice(first, elems)[idx];
+        NPTagBits &bits = npTags.touch(first, elems)[idx];
         NPCacheResult res = npCacheWriteDirty(bits);
         if (res.fail)
             sys.fail(node, addr, res.reason);
@@ -149,7 +103,7 @@ SpecCacheUnit::onStoreDirtyHit(Addr addr, IterNum iter)
                   "processor write of privatization-tested shared "
                   "array %#llx during the loop",
                   (unsigned long long)addr);
-    PrivTagBits &bits = privSlice(first, elems)[idx];
+    PrivTagBits &bits = privTags.touch(first, elems)[idx];
     PrivCacheResult res = privCacheWrite(bits, iter);
     if (res.firstWrite) {
         Msg m;
@@ -183,7 +137,7 @@ SpecCacheUnit::onFill(Addr line_addr, const MsgBits &bits,
         SPECRT_ASSERT(bits.size() == elems,
                       "non-priv fill with %u bits, want %u",
                       bits.size(), elems);
-        NPTagBits *tags = npSlice(first, elems);
+        NPTagBits *tags = npTags.touch(first, elems);
         for (size_t i = 0; i < elems; ++i)
             tags[i] = npWireToTag(bits[i], node);
         NPCacheResult res = npCacheLocalApply(tags[idx], is_write);
@@ -197,7 +151,7 @@ SpecCacheUnit::onFill(Addr line_addr, const MsgBits &bits,
     SPECRT_ASSERT(bits.size() == elems,
                   "priv fill with %u bits, want %u", bits.size(),
                   elems);
-    PrivTagBits *tags = privSlice(first, elems);
+    PrivTagBits *tags = privTags.touch(first, elems);
     for (size_t i = 0; i < elems; ++i)
         tags[i] = privWireToTag(bits[i], iter);
     // Apply the triggering access locally; the private directory
@@ -221,7 +175,7 @@ SpecCacheUnit::onDirtyOut(Addr line_addr)
 
     uint32_t elems = sys.lineBytes() / range->elemBytes;
     uint32_t first = range->elemIndex(line_addr);
-    NPTagBits *tags = npSlice(first, elems);
+    NPTagBits *tags = npTags.touch(first, elems);
     MsgBits wire(elems);
     for (size_t i = 0; i < elems; ++i)
         wire[i] = npPackTag(tags[i], node);
@@ -253,7 +207,9 @@ SpecCacheUnit::onInval(Addr line_addr)
     if (!range)
         return;
     uint32_t elems = sys.lineBytes() / range->elemBytes;
-    dropLine(range->elemIndex(line_addr), elems);
+    uint32_t first = range->elemIndex(line_addr);
+    npTags.drop(first, elems);
+    privTags.drop(first, elems);
 }
 
 void
@@ -265,12 +221,12 @@ SpecCacheUnit::onMsg(const Msg &msg)
                   "cache spec unit got %s", msgTypeName(msg.type));
     const TestRange *range = sys.table().lookup(msg.elemAddr);
     SPECRT_ASSERT(range, "FirstUpdateFail outside any test range");
-    uint32_t first = range->elemIndex(msg.lineAddr);
-    if (first >= npLineFlag.size() || !npLineFlag[first])
+    NPTagBits *tags = npTags.find(range->elemIndex(msg.lineAddr));
+    if (!tags)
         return; // line (and its tags) gone; home state authoritative
     size_t idx = (msg.elemAddr - msg.lineAddr) / range->elemBytes;
     trace::ScopedCtx tctx(sys.now(), node, msg.elemAddr, msg.iter);
-    NPCacheResult res = npCacheFirstUpdateFail(npTags[first + idx]);
+    NPCacheResult res = npCacheFirstUpdateFail(tags[idx]);
     if (res.fail)
         sys.fail(node, msg.elemAddr, res.reason);
 }
@@ -278,10 +234,8 @@ SpecCacheUnit::onMsg(const Msg &msg)
 void
 SpecCacheUnit::clearAll()
 {
-    std::fill(npTags.begin(), npTags.end(), NPTagBits{});
-    std::fill(privTags.begin(), privTags.end(), PrivTagBits{});
-    std::fill(npLineFlag.begin(), npLineFlag.end(), 0);
-    std::fill(privLineFlag.begin(), privLineFlag.end(), 0);
+    npTags.clear();
+    privTags.clear();
 }
 
 // --------------------------------------------------------------------

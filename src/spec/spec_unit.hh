@@ -11,11 +11,11 @@
  *
  * Access-bit storage is dense, mirroring the flat SRAM tables of
  * Fig. 10: the translation table assigns every element under test a
- * dense slot id (TestRange::elemIndex), and each unit keeps parallel
- * arrays indexed by it -- an access is an array index plus a bounds
- * check, never a hash probe. A "present" byte per slot (per line on
- * the cache side) preserves the touched/untouched distinction the
- * old hash tables encoded by key existence.
+ * dense slot id (TestRange::elemIndex), and each unit keeps its bits
+ * in pages indexed by it (SlotPages) -- an access is two array
+ * indexes, never a hash probe. A flag byte per slot (per line on the
+ * cache side) preserves the touched/untouched distinction the old
+ * hash tables encoded by key existence.
  */
 
 #ifndef SPECRT_SPEC_SPEC_UNIT_HH
@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -30,6 +31,7 @@
 
 #include "mem/dsm.hh"
 #include "mem/spec_iface.hh"
+#include "sim/logging.hh"
 #include "sim/trace.hh"
 #include "spec/access_bits.hh"
 #include "spec/nonpriv.hh"
@@ -42,52 +44,104 @@ namespace specrt
 class SpecSystem;
 
 /**
- * Dense access-bit table indexed by translation-table element id.
- * Grows lazily; clear() keeps capacity (arm() runs between loop
- * attempts on the same footprint).
+ * Access-bit storage indexed by translation-table slot id, in pages
+ * of TranslationTable::slotAlign slots allocated on first touch: a
+ * unit's memory follows the slots it touches, not the global slot
+ * count (16 units of a P3m machine would otherwise each size for all
+ * of its ranges). Every slot has a flag byte: the directory tables
+ * mark each touched slot, the cache tables mark each resident line
+ * at its first slot. Ranges are slotAlign-padded, so a line's slice
+ * never crosses a page. clear() keeps the pages (arm() runs between
+ * loop attempts on the same footprint) and resets only those touched
+ * since the last clear.
  */
-template <typename B>
-class DenseBitTable
+template <typename T>
+class SlotPages
 {
   public:
-    /** Slot @p idx, materializing it (marked present) on demand. */
-    B &
-    at(uint32_t idx)
+    static constexpr uint32_t pageSlots = TranslationTable::slotAlign;
+
+    /**
+     * Slots [first, first + n) -- within one page -- with the flag of
+     * @p first set, allocated on demand.
+     */
+    T *
+    touch(uint32_t first, uint32_t n = 1)
     {
-        if (idx >= slots.size())
-            grow(idx);
-        present[idx] = 1;
-        return slots[idx];
+        uint32_t off = first % pageSlots;
+        SPECRT_ASSERT(off + n <= pageSlots,
+                      "slot slice %u+%u crosses a slot page", first, n);
+        Page &p = page(first / pageSlots);
+        p.flag[off] = 1;
+        return &p.slot[off];
     }
 
-    /** Slot @p idx if it was ever touched, else nullptr. */
-    const B *
-    find(uint32_t idx) const
+    /** *touch(idx): one slot, marked touched. */
+    T &at(uint32_t idx) { return *touch(idx); }
+
+    /** The slots from @p first when its flag is set, else nullptr. */
+    const T *
+    find(uint32_t first) const
     {
-        return idx < slots.size() && present[idx] ? &slots[idx]
-                                                  : nullptr;
+        uint32_t id = first / pageSlots, off = first % pageSlots;
+        if (id >= pages.size() || !pages[id] || !pages[id]->flag[off])
+            return nullptr;
+        return &pages[id]->slot[off];
+    }
+    T *
+    find(uint32_t first)
+    {
+        return const_cast<T *>(std::as_const(*this).find(first));
+    }
+
+    /** Zero slots [first, first + n) and drop @p first's flag, if set. */
+    void
+    drop(uint32_t first, uint32_t n)
+    {
+        if (T *s = find(first)) {
+            std::fill(s, s + n, T{});
+            pages[first / pageSlots]->flag[first % pageSlots] = 0;
+        }
     }
 
     void
     clear()
     {
-        std::fill(slots.begin(), slots.end(), B{});
-        std::fill(present.begin(), present.end(), 0);
+        for (uint32_t id : dirty) {
+            Page &p = *pages[id];
+            std::fill(std::begin(p.slot), std::end(p.slot), T{});
+            std::fill(std::begin(p.flag), std::end(p.flag), 0);
+            p.dirty = false;
+        }
+        dirty.clear();
     }
 
   private:
-    void
-    grow(uint32_t idx)
+    struct Page
     {
-        size_t cap = slots.empty() ? 256 : slots.size();
-        while (cap <= idx)
-            cap *= 2;
-        slots.resize(cap);
-        present.resize(cap, 0);
+        T slot[pageSlots]{};
+        uint8_t flag[pageSlots]{};
+        /** Listed in `dirty` (touched since the last clear). */
+        bool dirty = false;
+    };
+
+    Page &
+    page(uint32_t id)
+    {
+        if (id >= pages.size())
+            pages.resize(id + 1);
+        if (!pages[id])
+            pages[id] = std::make_unique<Page>();
+        Page &p = *pages[id];
+        if (!p.dirty) {
+            p.dirty = true;
+            dirty.push_back(id);
+        }
+        return p;
     }
 
-    std::vector<B> slots;
-    std::vector<uint8_t> present;
+    std::vector<std::unique_ptr<Page>> pages;
+    std::vector<uint32_t> dirty;
 };
 
 /** Cache-side speculation unit of one node. */
@@ -118,41 +172,15 @@ class SpecCacheUnit : public SpecCacheIface
     void forEachNpLine(F &&f) const;
 
   private:
-    /** Tag slice of a resident line, materializing it on demand.
-     *  Header-inline fast path (runs once per tagged access); the
-     *  array growth is the out-of-line slow path. */
-    NPTagBits *
-    npSlice(uint32_t first, uint32_t elems)
-    {
-        if (size_t(first) + elems > npTags.size())
-            growNp(first, elems);
-        npLineFlag[first] = 1;
-        return &npTags[first];
-    }
-    PrivTagBits *
-    privSlice(uint32_t first, uint32_t elems)
-    {
-        if (size_t(first) + elems > privTags.size())
-            growPriv(first, elems);
-        privLineFlag[first] = 1;
-        return &privTags[first];
-    }
-
-    void growNp(uint32_t first, uint32_t elems);
-    void growPriv(uint32_t first, uint32_t elems);
-
-    /** Zero one line's tags and drop its resident flag. */
-    void dropLine(uint32_t first, uint32_t elems);
-
     SpecSystem &sys;
     NodeId node;
 
-    /** Per-element tag bits, indexed by dense element id. */
-    std::vector<NPTagBits> npTags;
-    std::vector<PrivTagBits> privTags;
-    /** Line-resident flags, stored at each line's first slot id. */
-    std::vector<uint8_t> npLineFlag;
-    std::vector<uint8_t> privLineFlag;
+    /**
+     * Per-element tag bits by slot id; a line is resident (its slice
+     * materialized) when the flag of its first slot is set.
+     */
+    SlotPages<NPTagBits> npTags;
+    SlotPages<PrivTagBits> privTags;
 };
 
 /** Directory-side speculation unit of one home node. */
@@ -237,9 +265,9 @@ class SpecDirUnit : public SpecDirIface
     SpecSystem &sys;
     NodeId node;
 
-    DenseBitTable<NPDirBits> np;
-    DenseBitTable<PrivSharedDirBits> ps;
-    DenseBitTable<PrivPrivDirBits> pp;
+    SlotPages<NPDirBits> np;
+    SlotPages<PrivSharedDirBits> ps;
+    SlotPages<PrivPrivDirBits> pp;
     /** In-flight read-ins, keyed by the SHARED line address. */
     std::vector<PendingReadIn> pendingReadIns;
 };
@@ -351,9 +379,8 @@ SpecCacheUnit::forEachNpLine(F &&f) const
             continue;
         uint32_t elems = lineBytes / r.elemBytes;
         for (Addr line = r.base; line < r.end; line += lineBytes) {
-            uint32_t first = r.elemIndex(line);
-            if (first < npLineFlag.size() && npLineFlag[first])
-                f(line, &npTags[first], elems);
+            if (const NPTagBits *tags = npTags.find(r.elemIndex(line)))
+                f(line, tags, elems);
         }
     }
 }

@@ -4,7 +4,8 @@
  * machine: translation table, update-message generation (FirstUpdate
  * on clean first reads, ROnlyUpdate on cross-reader hits,
  * FirstUpdateFail bounces), fill-bit contents, the read-in path, the
- * CopyOutSig hardware arbitration, and failure latching.
+ * CopyOutSig hardware arbitration, and failure latching; and the
+ * access-bit storage's slot pages.
  */
 
 #include <gtest/gtest.h>
@@ -341,4 +342,38 @@ TEST(SpecUnit, FillBitsDescribeDirectoryState)
     EXPECT_EQ(npWireToTag(bits[0], 2).first, TagFirst::Other);
     // Untouched elements decode NONE.
     EXPECT_EQ(npWireToTag(bits[5], 2).first, TagFirst::None);
+}
+
+// --- slot pages -------------------------------------------------------
+
+TEST(SlotPages, PagesFollowTouchedSlotsAndClearResetsThem)
+{
+    SlotPages<NPDirBits> t;
+    constexpr uint32_t page = SlotPages<NPDirBits>::pageSlots;
+    EXPECT_EQ(t.find(0), nullptr);
+    EXPECT_EQ(t.find(40 * page + 3), nullptr); // far past any page
+
+    // A line slice: the flag marks its first slot only.
+    NPDirBits *line = t.touch(5 * page + 8, 8);
+    line[3].first = 2;
+    ASSERT_EQ(t.find(5 * page + 8), line);
+    EXPECT_EQ(t.find(5 * page + 11), nullptr);
+    t.at(5 * page + 11).noShr = true;
+    ASSERT_NE(t.find(5 * page + 11), nullptr);
+
+    // drop() zeroes the whole slice and clears its first slot's flag.
+    t.drop(5 * page + 8, 8);
+    EXPECT_EQ(t.find(5 * page + 8), nullptr);
+    ASSERT_NE(t.find(5 * page + 11), nullptr) << "its own flag stays";
+    EXPECT_FALSE(t.find(5 * page + 11)->noShr);
+    t.drop(5 * page + 8, 8); // no flag: a no-op
+    t.at(5 * page + 11).noShr = true;
+
+    // clear() resets every touched page; later touches start clean.
+    t.at(2 * page).rOnly = true;
+    t.clear();
+    EXPECT_EQ(t.find(2 * page), nullptr);
+    EXPECT_EQ(t.find(5 * page + 11), nullptr);
+    EXPECT_FALSE(t.at(2 * page).rOnly);
+    EXPECT_FALSE(t.at(5 * page + 11).noShr);
 }

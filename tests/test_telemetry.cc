@@ -5,7 +5,8 @@
  * stats last-nonempty-wins, cost breakdowns sum), the ScopedTelemetry
  * thread redirect, and the headline determinism contract -- runJobs()
  * aggregation (telemetry AND every merged observability artifact) is
- * byte-identical whatever the worker count.
+ * byte-identical whatever the worker count -- and the per-artifact
+ * render/write cost benchMain() puts in the JSON record.
  *
  * Links bench_harness, not just specrt; registered with its own rule
  * in tests/CMakeLists.txt.
@@ -15,9 +16,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
+#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/loop_exec.hh"
 #include "obs/event_log.hh"
@@ -309,4 +313,81 @@ TEST(TelemetryRunJobs, DisabledEventLogStaysEmpty)
     EXPECT_EQ(obs::log().recorded(), 0u);
     bench::setJobs(1);
     bench::telemetry() = bench::Telemetry{};
+}
+
+// --- the bench record's per-artifact cost ------------------------------
+
+namespace
+{
+
+/** A bench body: one aborting HW run with every consumer on. */
+int
+abortingHwRun()
+{
+    Fig1ALoop loop(16);
+    MachineConfig cfg;
+    cfg.numProcs = 4;
+    ExecConfig xc;
+    xc.mode = ExecMode::HW;
+    bench::telemetry().recordRun(LoopExecutor(cfg, loop, xc).run());
+    return 0;
+}
+
+} // namespace
+
+TEST(TelemetryRecord, ObsObjectCarriesEachWrittenArtifactsCost)
+{
+    SimContext proc;
+    ScopedSimContext active(proc);
+    const std::string dir = ::testing::TempDir();
+    const std::string out = dir + "/specrt_obs_cost.json";
+    const char *names[] = {"trace", "timeline", "critpath", "events"};
+    const char *files[] = {"/specrt_obs_cost_trace.json",
+                           "/specrt_obs_cost_timeline.csv",
+                           "/specrt_obs_cost_critpath.json",
+                           "/specrt_obs_cost_events.jsonl"};
+    std::vector<std::string> args = {"bench_obs_cost", "--out", out};
+    const char *flags[] = {"--trace-out", "--timeline-out",
+                           "--critpath-out", "--events-out"};
+    for (size_t c = 0; c < obs::numArtifacts; ++c) {
+        args.push_back(flags[c]);
+        args.push_back(dir + files[c]);
+    }
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    std::remove(out.c_str());
+    ASSERT_EQ(bench::benchMain(static_cast<int>(argv.size()), argv.data(),
+                               "obs_cost", abortingHwRun),
+              0);
+    bench::telemetry() = bench::Telemetry{};
+
+    std::ifstream is(out);
+    std::stringstream rec;
+    rec << is.rdbuf();
+    const std::string json = rec.str();
+    ASSERT_NE(json.find("\"obs\": {\"trace\": {"), std::string::npos)
+        << json;
+    for (size_t c = 0; c < obs::numArtifacts; ++c) {
+        // "<name>": {"render_ms": R, "write_ms": W, "bytes": B}
+        std::string key = std::string("\"") + names[c] + "\": {";
+        size_t at = json.find(key);
+        ASSERT_NE(at, std::string::npos) << names[c];
+        double renderMs = -1, writeMs = -1;
+        unsigned long long bytes = 0;
+        ASSERT_EQ(std::sscanf(json.c_str() + at + key.size(),
+                              "\"render_ms\": %lf, \"write_ms\": %lf, "
+                              "\"bytes\": %llu}",
+                              &renderMs, &writeMs, &bytes),
+                  3)
+            << names[c];
+        EXPECT_GE(renderMs, 0.0) << names[c];
+        EXPECT_GE(writeMs, 0.0) << names[c];
+        std::ifstream f(dir + files[c], std::ios::binary | std::ios::ate);
+        EXPECT_EQ(bytes, static_cast<unsigned long long>(f.tellg()))
+            << names[c];
+        EXPECT_GT(bytes, 0u) << names[c];
+        std::remove((dir + files[c]).c_str());
+    }
+    std::remove(out.c_str());
 }

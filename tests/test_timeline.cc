@@ -189,11 +189,11 @@ TEST_F(TimelineTest, MergeOfUnequalLengthTimelinesOffsetsRunIds)
 
     // Heat cells sum.
     auto conflictCell = a.heatMap().find({NodeId(0), Addr(0)});
-    ASSERT_NE(conflictCell, a.heatMap().end());
-    EXPECT_EQ(conflictCell->second.conflicts, 2u);
+    ASSERT_NE(conflictCell, nullptr);
+    EXPECT_EQ(conflictCell->conflicts, 2u);
     auto queuedCell = a.heatMap().find({NodeId(2), Addr(0x100 >> 6)});
-    ASSERT_NE(queuedCell, a.heatMap().end());
-    EXPECT_EQ(queuedCell->second.queued, 1u);
+    ASSERT_NE(queuedCell, nullptr);
+    EXPECT_EQ(queuedCell->queued, 1u);
 }
 
 TEST_F(TimelineTest, HotSummaryRanksConflictsOverRawTraffic)
@@ -450,8 +450,8 @@ TEST_F(TimelineTest, HwAbortYieldsCounterTracksAndHotNodeAttribution)
     auto cell = t.heatMap().find(
         {home, res.hwFailure.elemAddr >>
                    timeline::Timeline::bucketShift});
-    ASSERT_NE(cell, t.heatMap().end());
-    EXPECT_GE(cell->second.conflicts, 1u);
+    ASSERT_NE(cell, nullptr);
+    EXPECT_GE(cell->conflicts, 1u);
 
     std::string hot = t.hotSummary();
     std::ostringstream want;
@@ -478,4 +478,37 @@ TEST_F(TimelineTest, HwAbortYieldsCounterTracksAndHotNodeAttribution)
     std::string sum = trace::textSummary(trace::buffer(), &t);
     EXPECT_NE(sum.find("directory contention summary"),
               std::string::npos);
+}
+
+namespace
+{
+
+/** The timeline CSV of one HW Fig. 1(b) run in a fresh context. */
+std::string
+timelineCsvOfHwRun(bool traced)
+{
+    SimContext ctx;
+    ScopedSimContext active(ctx);
+    ctx.recorders().enable(obs::Consumer::Timeline, 100);
+    if (traced)
+        ctx.recorders().enable(obs::Consumer::Trace);
+    MachineConfig cfg;
+    cfg.numProcs = 4;
+    Fig1BLoop loop(32);
+    ExecConfig xc;
+    xc.mode = ExecMode::HW;
+    LoopExecutor(cfg, loop, xc).run();
+    return ctx.recorders().timeline.csv();
+}
+
+} // namespace
+
+TEST(TimelineSpecTransitions, SeriesDoesNotDependOnTheTrace)
+{
+    // spec.transitions counts §3.2 tag-bit changes, None -> Own among
+    // them; tracing only adds the node that packs Own on the wire.
+    std::string untraced = timelineCsvOfHwRun(false);
+    EXPECT_EQ(untraced, timelineCsvOfHwRun(true));
+    const std::string header = untraced.substr(0, untraced.find('\n'));
+    ASSERT_NE(header.find("spec.transitions"), std::string::npos);
 }
