@@ -166,7 +166,8 @@ cancelHeavyWorkload(Queue &q, int rounds, int perRound,
     return static_cast<double>(rounds) * perRound / secondsSince(t0);
 }
 
-/** Zero-delay hand-off chains (the same-tick FIFO fast lane). */
+/** Zero-delay hand-off chains (same-tick appends to the bucket being
+ *  drained). */
 template <typename Queue>
 double
 sameTickWorkload(Queue &q, int rounds, int chains, int depth,

@@ -543,22 +543,29 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
                     SimContext::current().arenaHighWater())
         << ",\n";
     if constexpr (profileEnabled) {
-        // SPECRT_PROFILE builds: the per-EventKind fired-event
-        // histogram rides along in the telemetry record.
-        const prof::Registry &reg = prof::Registry::instance();
-        const auto &hist = reg.eventHist();
-        rec << "    \"profile\": {\"events\": {";
-        bool firstKey = true;
-        for (size_t k = 0; k < numEventKinds; ++k) {
-            if (!hist[k])
-                continue;
-            rec << (firstKey ? "" : ", ") << "\""
-                << jsonEscape(eventKindName(
-                       static_cast<EventKind>(k)))
-                << "\": " << hist[k];
-            firstKey = false;
-        }
-        rec << "}},\n";
+        // SPECRT_PROFILE builds: fired events and sampled host ns per
+        // EventKind (this context's, with every runJobs job merged).
+        const prof::Profile &p = SimContext::current().recorders().profile;
+        auto perKind = [&](const char *key,
+                           const std::array<uint64_t, numEventKinds> &v) {
+            rec << "\"" << key << "\": {";
+            bool firstKey = true;
+            for (size_t k = 0; k < numEventKinds; ++k) {
+                if (!p.events[k])
+                    continue;
+                rec << (firstKey ? "" : ", ") << "\""
+                    << jsonEscape(eventKindName(
+                           static_cast<EventKind>(k)))
+                    << "\": " << v[k];
+                firstKey = false;
+            }
+            rec << "}";
+        };
+        rec << "    \"profile\": {";
+        perKind("events", p.events);
+        rec << ", ";
+        perKind("host_ns", p.hostNs);
+        rec << "},\n";
     }
     rec << "    \"metrics\": {";
     for (size_t i = 0; i < t.metrics.size(); ++i) {

@@ -565,9 +565,9 @@ LoopExecutor::runLoopPhase()
             // Advance the time base past the barrier episode (the
             // queue may already have drained trailing acks beyond
             // it).
-            eq.schedule(std::max(eq.curTick(),
-                                 end + cfg.barrierCycles),
-                        []() {});
+            eq.schedule(
+                std::max(eq.curTick(), end + cfg.barrierCycles), []() {},
+                EventKind::Sched);
             armSampler();
             eq.run();
         }

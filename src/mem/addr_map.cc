@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "sim/logging.hh"
+#include "sim/small_vec.hh"
 
 namespace specrt
 {
@@ -113,7 +114,7 @@ AddrMap::read(Addr addr, uint32_t size) const
 {
     SPECRT_ASSERT(size >= 1 && size <= 8, "bad access size %u", size);
     uint64_t value = 0;
-    std::memcpy(&value, backingPtr(addr, size), size);
+    copyWord(&value, backingPtr(addr, size), size);
     return value;
 }
 
@@ -121,19 +122,19 @@ void
 AddrMap::write(Addr addr, uint32_t size, uint64_t value)
 {
     SPECRT_ASSERT(size >= 1 && size <= 8, "bad access size %u", size);
-    std::memcpy(backingPtr(addr, size), &value, size);
+    copyWord(backingPtr(addr, size), &value, size);
 }
 
 void
 AddrMap::readLine(Addr line_addr, uint8_t *out, uint32_t bytes) const
 {
-    std::memcpy(out, backingPtr(line_addr, bytes), bytes);
+    copyBlock(out, backingPtr(line_addr, bytes), bytes);
 }
 
 void
 AddrMap::writeLine(Addr line_addr, const uint8_t *data, uint32_t bytes)
 {
-    std::memcpy(backingPtr(line_addr, bytes), data, bytes);
+    copyBlock(backingPtr(line_addr, bytes), data, bytes);
 }
 
 void

@@ -89,7 +89,7 @@ NodeCache::fill(Addr line_addr, LineState state, const uint8_t *bytes,
         filled.push_back(static_cast<uint32_t>(idx));
     slot.addr = line_addr;
     slot.state = state;
-    std::memcpy(line, bytes, _lineBytes);
+    copyBlock(line, bytes, _lineBytes);
     l1Fill(line_addr);
     return displaced;
 }

@@ -179,7 +179,7 @@ class NodeCache
     readWordIn(const LineTag &line, Addr a, uint32_t size) const
     {
         uint64_t value = 0;
-        std::memcpy(&value, lineData(line) + (a - line.addr), size);
+        copyWord(&value, lineData(line) + (a - line.addr), size);
         return value;
     }
 
@@ -188,7 +188,7 @@ class NodeCache
     writeWordIn(const LineTag &line, Addr a, uint32_t size,
                 uint64_t value)
     {
-        std::memcpy(lineData(line) + (a - line.addr), &value, size);
+        copyWord(lineData(line) + (a - line.addr), &value, size);
     }
 
   private:

@@ -90,9 +90,10 @@ CacheCtrl::load(Addr addr, uint32_t size, IterNum iter, LoadDone done)
         uint64_t value = cache.readWordIn(*cl, addr, size);
         Cycles lat = inL1 ? cfg.lat.l1Hit
                           : cfg.lat.l1Hit + cfg.lat.l2Access;
-        eq.scheduleIn(lat, [done = std::move(done), value]() mutable {
-            done(value);
-        });
+        eq.scheduleIn(
+            lat,
+            [done = std::move(done), value]() mutable { done(value); },
+            EventKind::Cache);
         return;
     }
 
@@ -147,10 +148,13 @@ CacheCtrl::scheduleDrain()
     if (drainScheduled || storeTxnActive || wb.empty())
         return;
     drainScheduled = true;
-    eq.scheduleIn(1, [this]() {
-        drainScheduled = false;
-        drainHead();
-    });
+    eq.scheduleIn(
+        1,
+        [this]() {
+            drainScheduled = false;
+            drainHead();
+        },
+        EventKind::Cache);
 }
 
 void
@@ -212,9 +216,9 @@ CacheCtrl::armWatchdog(bool is_load, uint64_t seq, int attempt)
     // Exponential backoff: each retry waits twice as long.
     Cycles timeout = cfg.fault.watchdogTimeout
                      << std::min(attempt, 16);
-    return eq.scheduleIn(timeout, [this, is_load, seq]() {
-        onWatchdog(is_load, seq);
-    });
+    return eq.scheduleIn(
+        timeout, [this, is_load, seq]() { onWatchdog(is_load, seq); },
+        EventKind::Cache);
 }
 
 void
@@ -527,16 +531,17 @@ CacheCtrl::serveFwd(const Msg &msg)
     LineTag *cl = cache.findLine(msg.lineAddr);
     bool read = msg.type == MsgType::ReadFwd;
 
-    MsgData data;
-    MsgBits bits;
+    // The reply carries the line and the combined bits; the home's
+    // completion leg copies them from it.
+    Msg reply;
     bool retains = false;
 
     if (cl && cl->state == LineState::Dirty) {
-        data.assign(cache.lineData(*cl), cache.lineBytes());
+        reply.data.assign(cache.lineData(*cl), cache.lineBytes());
         if (spec)
-            bits = spec->combineBits(msg.lineAddr,
-                                     spec->onDirtyOut(msg.lineAddr),
-                                     msg.specBits);
+            reply.specBits = spec->combineBits(
+                msg.lineAddr, spec->onDirtyOut(msg.lineAddr),
+                msg.specBits);
         if (read) {
             cl->state = LineState::Shared;
             retains = true;
@@ -549,15 +554,14 @@ CacheCtrl::serveFwd(const Msg &msg)
         auto it = wbBuf.find(msg.lineAddr);
         SPECRT_ASSERT(it != wbBuf.end() && !it->second.empty(),
                       "serveFwd without data at node %d", node);
-        data = it->second.back().data;
-        bits = spec ? spec->combineBits(msg.lineAddr,
-                                        it->second.back().bits,
-                                        msg.specBits)
-                    : it->second.back().bits;
+        reply.data = it->second.back().data;
+        reply.specBits = spec ? spec->combineBits(msg.lineAddr,
+                                                  it->second.back().bits,
+                                                  msg.specBits)
+                              : it->second.back().bits;
         retains = false;
     }
 
-    Msg reply;
     reply.type = read ? MsgType::ReadReply : MsgType::WriteReply;
     reply.src = node;
     reply.dst = msg.requester;
@@ -565,9 +569,7 @@ CacheCtrl::serveFwd(const Msg &msg)
     reply.elemAddr = msg.elemAddr;
     reply.iter = msg.iter;
     reply.txnSeq = msg.txnSeq;
-    reply.data = data;
-    reply.specBits = bits;
-    net.send(std::move(reply), cfg.lat.ownerAccess);
+    net.send(reply, cfg.lat.ownerAccess);
 
     Msg home;
     home.type = read ? MsgType::ShareWb : MsgType::OwnXfer;
@@ -576,8 +578,8 @@ CacheCtrl::serveFwd(const Msg &msg)
     home.lineAddr = msg.lineAddr;
     home.elemAddr = msg.elemAddr;
     home.iter = msg.iter;
-    home.data = std::move(data);
-    home.specBits = std::move(bits);
+    home.data = reply.data;
+    home.specBits = reply.specBits;
     home.ownerRetains = retains;
     net.send(std::move(home), cfg.lat.ownerAccess);
 }

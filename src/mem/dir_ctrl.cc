@@ -74,7 +74,7 @@ DirCtrl::startsTxn(MsgType t)
 }
 
 void
-DirCtrl::handle(const Msg &msg)
+DirCtrl::handle(Msg &&msg)
 {
     switch (msg.type) {
       case MsgType::ShareWb:
@@ -97,15 +97,15 @@ DirCtrl::handle(const Msg &msg)
     }
     SPECRT_ASSERT(startsTxn(msg.type), "dir %d got unexpected %s",
                   node, msgTypeName(msg.type));
-    enqueue(msg);
+    enqueue(std::move(msg));
 }
 
 DirCtrl::Txn *
 DirCtrl::findActive(Addr line)
 {
-    for (Txn &t : active) {
-        if (t.line == line)
-            return &t;
+    for (Txn *t : active) {
+        if (t->line == line)
+            return t;
     }
     return nullptr;
 }
@@ -113,43 +113,53 @@ DirCtrl::findActive(Addr line)
 const DirCtrl::Txn *
 DirCtrl::findActive(Addr line) const
 {
-    for (const Txn &t : active) {
-        if (t.line == line)
-            return &t;
+    for (const Txn *t : active) {
+        if (t->line == line)
+            return t;
     }
     return nullptr;
 }
 
 void
-DirCtrl::enqueue(const Msg &msg)
+DirCtrl::enqueue(Msg &&msg)
 {
     // A request arriving while its line has an active transaction is
     // exactly the home-node serialization the paper worries about --
     // that is the contention the heatmap's "queued" axis counts.
     if (findActive(msg.lineAddr)) {
         timeline::dirQueued(node, heatElem(msg));
-        waiting.push_back(msg);
+        waiting.push_back(std::move(msg));
         waitingSince.push_back(eq.curTick());
         return;
     }
-    beginTxn(msg, eq.curTick());
+    beginTxn(std::move(msg), eq.curTick());
 }
 
 void
-DirCtrl::beginTxn(const Msg &msg, Tick enq_tick)
+DirCtrl::beginTxn(Msg &&msg, Tick enq_tick)
 {
+    if (freeTxns.empty())
+        freeTxns.push_back(&txnPool.emplace_back());
+    Txn &t = *freeTxns.back();
+    freeTxns.pop_back();
     Addr line = msg.lineAddr;
-    active.push_back(Txn{line, msg, 0, false, false});
+    t.line = line;
+    t.req = std::move(msg);
+    t.ackWait = 0;
+    t.deferred = false;
+    t.awaitingOwner = false;
+    active.push_back(&t);
 
     Tick start = claimController();
     queuedCycles += static_cast<double>(start - eq.curTick());
     // Everything between arrival at this home and processing start is
     // home-node serialization: line-queue wait + controller occupancy.
-    stall::dirWait(msg.src, msg.txnSeq,
+    stall::dirWait(t.req.src, t.req.txnSeq,
                    static_cast<double>(start - enq_tick));
     // Capture only the line: the request lives in the active set, so
     // the callback stays within SmallFunction's inline buffer.
-    eq.schedule(start, [this, line]() { runTxn(line); });
+    eq.schedule(start, [this, line]() { runTxn(line); },
+                EventKind::Directory);
 }
 
 void
@@ -160,13 +170,11 @@ DirCtrl::tryStart(Addr line)
     for (size_t i = 0; i < waiting.size(); ++i) {
         if (waiting[i].lineAddr != line)
             continue;
-        Msg req = std::move(waiting[i]);
-        Tick since = waitingSince[i];
+        beginTxn(std::move(waiting[i]), waitingSince[i]);
         waiting.erase(waiting.begin() +
                       static_cast<ptrdiff_t>(i));
         waitingSince.erase(waitingSince.begin() +
                            static_cast<ptrdiff_t>(i));
-        beginTxn(req, since);
         return;
     }
 }
@@ -177,10 +185,10 @@ DirCtrl::runTxn(Addr line)
     Txn *t = findActive(line);
     SPECRT_ASSERT(t, "runTxn with no active transaction for %#llx",
                   (unsigned long long)line);
-    // Stack copy: process() may finish the transaction (erasing the
-    // active slot) or start new ones (moving the vector).
-    Msg req = t->req;
-    process(req);
+    // The record stays put while process() opens other transactions;
+    // the one path that finishes this one (a duplicate request) reads
+    // nothing after finishTxn().
+    process(t->req);
 }
 
 Tick
@@ -275,8 +283,9 @@ DirCtrl::processBase(const Msg &req)
         e.addSharer(req.src);
         e.owner = invalidNode;
         replyFromMemory(req, false, cfg.lat.dirMemAccess);
-        eq.scheduleIn(cfg.lat.dirMemAccess,
-                      [this, line]() { finishTxn(line); });
+        eq.scheduleIn(
+            cfg.lat.dirMemAccess, [this, line]() { finishTxn(line); },
+            EventKind::Directory);
         return;
     }
 
@@ -307,8 +316,9 @@ DirCtrl::processBase(const Msg &req)
     e.owner = req.src;
     e.sharers = 0;
     replyFromMemory(req, true, cfg.lat.dirMemAccess);
-    eq.scheduleIn(cfg.lat.dirMemAccess,
-                  [this, line]() { finishTxn(line); });
+    eq.scheduleIn(
+        cfg.lat.dirMemAccess, [this, line]() { finishTxn(line); },
+        EventKind::Directory);
 }
 
 void
@@ -339,7 +349,9 @@ DirCtrl::processWriteback(const Msg &msg)
     ack.dst = msg.src;
     ack.lineAddr = line;
     net.send(std::move(ack), cfg.lat.dirLookup);
-    eq.scheduleIn(cfg.lat.dirLookup, [this, line]() { finishTxn(line); });
+    eq.scheduleIn(
+        cfg.lat.dirLookup, [this, line]() { finishTxn(line); },
+        EventKind::Directory);
 }
 
 void
@@ -353,7 +365,8 @@ DirCtrl::processSpecMsg(const Msg &msg)
                       ? cfg.lat.dirMemAccess
                       : cfg.lat.dirLookup;
     Addr line = msg.lineAddr;
-    eq.scheduleIn(busy, [this, line]() { finishTxn(line); });
+    eq.scheduleIn(busy, [this, line]() { finishTxn(line); },
+                  EventKind::Directory);
 }
 
 void
@@ -475,9 +488,9 @@ DirCtrl::resumeDeferred(Addr line_addr)
     SPECRT_ASSERT(t && t->deferred,
                   "resumeDeferred with no deferred txn");
     t->deferred = false;
-    // Stack copy: processBase may finish the transaction.
-    Msg req = t->req;
-    processBase(req);
+    // processBase() schedules the finish; it never recycles the
+    // record synchronously.
+    processBase(t->req);
 }
 
 void
@@ -486,9 +499,14 @@ DirCtrl::finishTxn(Addr line)
     Txn *t = findActive(line);
     SPECRT_ASSERT(t, "finishTxn with no txn");
     // Order is irrelevant (lookups are keyed): swap-with-back erase.
-    if (t != &active.back())
-        *t = std::move(active.back());
+    for (Txn *&a : active) {
+        if (a == t) {
+            a = active.back();
+            break;
+        }
+    }
     active.pop_back();
+    freeTxns.push_back(t);
     ++txns;
     tryStart(line);
 }
@@ -496,6 +514,7 @@ DirCtrl::finishTxn(Addr line)
 void
 DirCtrl::reset()
 {
+    freeTxns.insert(freeTxns.end(), active.begin(), active.end());
     active.clear();
     waiting.clear();
     waitingSince.clear();

@@ -21,6 +21,7 @@
 #ifndef SPECRT_MEM_DIR_CTRL_HH
 #define SPECRT_MEM_DIR_CTRL_HH
 
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -47,8 +48,12 @@ class DirCtrl : public StatGroup
     /** Attach the speculation hardware (may be null: plain machine). */
     void setSpecUnit(SpecDirIface *unit) { spec = unit; }
 
-    /** Network entry point. */
-    void handle(const Msg &msg);
+    /**
+     * Network entry point. A request that opens a transaction is
+     * moved into the transaction (or its line's queue), so @p msg
+     * may be left moved-from.
+     */
+    void handle(Msg &&msg);
 
     /**
      * Continue a transaction a spec unit previously deferred
@@ -103,13 +108,13 @@ class DirCtrl : public StatGroup
     /** True if this message type opens a new serialized transaction. */
     static bool startsTxn(MsgType t);
 
-    void enqueue(const Msg &msg);
+    void enqueue(Msg &&msg);
     /**
-     * Open a serialized transaction for @p msg and schedule it.
-     * @p enq_tick is when the request first reached this home
-     * (queue wait is attributed from there).
+     * Open a serialized transaction for @p msg (moved into it) and
+     * schedule it. @p enq_tick is when the request first reached
+     * this home (queue wait is attributed from there).
      */
-    void beginTxn(const Msg &msg, Tick enq_tick);
+    void beginTxn(Msg &&msg, Tick enq_tick);
     /** Start the next queued request for @p line, if any. */
     void tryStart(Addr line);
     /** Scheduled entry point: run the active transaction's request. */
@@ -150,8 +155,15 @@ class DirCtrl : public StatGroup
      * txn per contended line, queues bounded by the requesters), so
      * a linear scan beats hash-node churn, and the capacity is
      * reused forever -- no allocation per transaction.
+     *
+     * A transaction record never moves while it is active (records
+     * live in txnPool and are recycled through freeTxns), so runTxn()
+     * and resumeDeferred() hand its request to the protocol by
+     * reference even when processing opens or finishes others.
      */
-    std::vector<Txn> active;
+    std::vector<Txn *> active;
+    std::deque<Txn> txnPool;
+    std::vector<Txn *> freeTxns;
     std::vector<Msg> waiting;
     /** Arrival tick of each waiting[] request (parallel vector). */
     std::vector<Tick> waitingSince;

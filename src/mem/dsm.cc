@@ -39,8 +39,9 @@ DsmSystem::DsmSystem(const MachineConfig &config)
 
         CacheCtrl *cc = caches.back().get();
         DirCtrl *dc = dirs.back().get();
-        net->setCacheHandler(n, [cc](const Msg &m) { cc->handle(m); });
-        net->setDirHandler(n, [dc](const Msg &m) { dc->handle(m); });
+        net->setCacheHandler(n, [cc](Msg &&m) { cc->handle(m); });
+        net->setDirHandler(n,
+                           [dc](Msg &&m) { dc->handle(std::move(m)); });
     }
 }
 

@@ -42,7 +42,8 @@ struct PooledMsg
         }
     }
 
-    const Msg &operator*() const { return *m; }
+    /** The message; the delivery hands it over to its handler. */
+    Msg &operator*() const { return *m; }
 };
 
 /** Copy @p msg into @p arena and wrap it in a PooledMsg. */
@@ -126,13 +127,13 @@ Network::setDirHandler(NodeId node, Handler h)
 }
 
 void
-Network::send(Msg msg, Cycles extra_delay)
+Network::send(const Msg &msg, Cycles extra_delay)
 {
-    transmit(std::move(msg), extra_delay, 0);
+    transmit(msg, extra_delay, 0);
 }
 
 void
-Network::transmit(Msg msg, Cycles extra_delay, int attempt)
+Network::transmit(const Msg &msg, Cycles extra_delay, int attempt)
 {
     SPECRT_ASSERT(msg.src >= 0 &&
                   msg.src < static_cast<NodeId>(cacheHandlers.size()),
@@ -221,7 +222,7 @@ Network::transmit(Msg msg, Cycles extra_delay, int attempt)
                   msgTypeName(msg.type), msg.src, msg.dst,
                   (unsigned long long)msg.lineAddr);
         }
-        scheduleRetransmit(std::move(msg), attempt + 1);
+        scheduleRetransmit(msg, attempt + 1);
         return;
     }
 
@@ -253,7 +254,7 @@ Network::deliver(const Msg &msg, Cycles delay, Cycles jitter,
                     --inFlight;
                     if (trace::enabled())
                         traceRecv(*pm, eq.curTick(), flow);
-                    h(*pm);
+                    h(std::move(*pm));
                 },
                 EventKind::Network, actor);
             return;
@@ -263,7 +264,7 @@ Network::deliver(const Msg &msg, Cycles delay, Cycles jitter,
             delay,
             [this, &h, pm = poolCopy(arena, msg)]() {
                 --inFlight;
-                h(*pm);
+                h(std::move(*pm));
             },
             EventKind::Network, actor);
         return;
@@ -285,13 +286,13 @@ Network::deliver(const Msg &msg, Cycles delay, Cycles jitter,
             --inFlight;
             if (trace::enabled())
                 traceRecv(*pm, eq.curTick(), flow);
-            h(*pm);
+            h(std::move(*pm));
         },
         EventKind::Network, actor);
 }
 
 void
-Network::scheduleRetransmit(Msg msg, int attempt)
+Network::scheduleRetransmit(const Msg &msg, int attempt)
 {
     const FaultConfig &fc = plan->config();
     int shift = std::min(attempt - 1, 16);

@@ -41,7 +41,12 @@ namespace specrt
 class Network : public StatGroup
 {
   public:
-    using Handler = std::function<void(const Msg &)>;
+    /**
+     * Endpoint handler. It receives the delivery's own copy of the
+     * message (in the message arena) and may move from it: the copy
+     * dies when the handler returns.
+     */
+    using Handler = std::function<void(Msg &&)>;
     /** Fired when a retransmitted signal exhausts its retry budget. */
     using LostHook = std::function<void(const Msg &, const char *)>;
 
@@ -63,9 +68,10 @@ class Network : public StatGroup
      * Send @p msg from msg.src to msg.dst after @p extra_delay cycles
      * of sender-side processing. The message is dispatched to the
      * destination's directory handler for home-bound types, else to
-     * its cache handler.
+     * its cache handler. The delivery's arena copy is the only copy
+     * made (two for a duplicated message).
      */
-    void send(Msg msg, Cycles extra_delay = 0);
+    void send(const Msg &msg, Cycles extra_delay = 0);
 
     /**
      * Drop channel-ordering floors and retransmission bookkeeping
@@ -85,7 +91,7 @@ class Network : public StatGroup
 
   private:
     /** One transmission attempt (attempt > 0 for retransmissions). */
-    void transmit(Msg msg, Cycles extra_delay, int attempt);
+    void transmit(const Msg &msg, Cycles extra_delay, int attempt);
     /**
      * Deliver one copy at base delay + @p jitter, FIFO-clamped.
      * @p flow is the trace flow id tying this delivery back to its
@@ -94,7 +100,7 @@ class Network : public StatGroup
     void deliver(const Msg &msg, Cycles delay, Cycles jitter,
                  uint64_t flow);
     /** Schedule a backoff retransmission of a dropped signal. */
-    void scheduleRetransmit(Msg msg, int attempt);
+    void scheduleRetransmit(const Msg &msg, int attempt);
 
     EventQueue &eq;
     Cycles hopLatency;

@@ -106,7 +106,8 @@ Processor::fetchWork()
     if (grant.delay > 0) {
         // The work source already attributed this delay (SchedWait).
         sync += static_cast<double>(grant.delay);
-        eq.scheduleIn(grant.delay, [this]() { beginIteration(); });
+        eq.scheduleIn(grant.delay, [this]() { beginIteration(); },
+                      EventKind::Sched);
     } else {
         beginIteration();
     }
@@ -200,7 +201,8 @@ Processor::step()
 
     if (pc >= prog.size()) {
         if (acc > 0)
-            eq.scheduleIn(acc, [this]() { finishIteration(); });
+            eq.scheduleIn(acc, [this]() { finishIteration(); },
+                          EventKind::Processor);
         else
             finishIteration();
         return;
@@ -213,15 +215,18 @@ Processor::step()
         // beginIteration(), which cannot run while this op is
         // pending, and the small capture keeps the callback inside
         // the event slot's inline buffer (no heap allocation).
-        eq.scheduleIn(acc, [this, i = pc - 1]() {
-            if (!active)
-                return;
-            const Op &o = prog[i];
-            if (o.kind == OpKind::Load)
-                issueLoad(o);
-            else
-                issueStore(o, eq.curTick());
-        });
+        eq.scheduleIn(
+            acc,
+            [this, i = pc - 1]() {
+                if (!active)
+                    return;
+                const Op &o = prog[i];
+                if (o.kind == OpKind::Load)
+                    issueLoad(o);
+                else
+                    issueStore(o, eq.curTick());
+            },
+            EventKind::Processor);
     } else {
         if (op.kind == OpKind::Load)
             issueLoad(op);
@@ -314,7 +319,7 @@ Processor::issueStore(const Op &op, Tick stall_start)
         mem += static_cast<double>(waited);
         stall::memWait(node, static_cast<double>(waited));
     }
-    eq.scheduleIn(1, [this]() { step(); });
+    eq.scheduleIn(1, [this]() { step(); }, EventKind::Processor);
 }
 
 } // namespace specrt

@@ -163,6 +163,7 @@ Recorders::merge(const Recorders &shard)
     timeline.merge(shard.timeline);
     critpath.merge(shard.critpath);
     events.merge(shard.events);
+    profile.merge(shard.profile);
 }
 
 bool

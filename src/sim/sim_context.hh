@@ -52,6 +52,7 @@
 #include "sim/arena.hh"
 #include "sim/critpath.hh"
 #include "sim/logging.hh"
+#include "sim/profile.hh"
 #include "sim/random.hh"
 #include "sim/timeline.hh"
 #include "sim/trace.hh"
@@ -86,7 +87,8 @@ struct Written
 const char *artifactName(Consumer c);
 
 /**
- * The recorders behind the hub's artifact consumers. A SimContext
+ * The recorders behind the hub's artifact consumers, plus the event
+ * engine's per-kind profile. A SimContext
  * owns one set; bench::runJobs captures each campaign job's set and
  * merges it into the process context's in job-id order, so every
  * merged artifact is independent of --jobs.
@@ -97,6 +99,9 @@ struct Recorders
     timeline::Timeline timeline;
     critpath::Recorder critpath;
     EventLog events;
+    /** Fired events and sampled host ns per EventKind; written only
+     *  in SPECRT_PROFILE builds (sim/profile.hh). No artifact. */
+    prof::Profile profile;
 
     /**
      * Switch artifact consumer @p c on. @p size is its geometry --

@@ -8,6 +8,7 @@
 #include <functional>
 #include <new>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -357,7 +358,7 @@ TEST(EventQueue, SameTickFifoOrderingSurvivesInterleavedCancel)
     EventQueue eq;
     std::vector<int> order;
     std::vector<EventId> ids;
-    // curTick == 0, so these all take the same-tick FIFO lane.
+    // curTick == 0, so these all append to the current tick's bucket.
     for (int i = 0; i < 12; ++i)
         ids.push_back(eq.schedule(0, [&order, i]() {
             order.push_back(i);
@@ -402,7 +403,7 @@ TEST(EventQueue, RandomizedScriptMatchesReferenceModel)
             model[ref].token = -1; // cancelled
             cancellable.erase(cancellable.begin() + pick);
         }
-        Tick when = rng() % 512; // tick 0 exercises the FIFO lane
+        Tick when = rng() % 512; // tick 0: same-tick appends
         int token = i;
         EventId id = eq.schedule(
             when, [&fired, token]() { fired.push_back(token); });
@@ -424,6 +425,302 @@ TEST(EventQueue, RandomizedScriptMatchesReferenceModel)
     ASSERT_EQ(fired.size(), alive.size());
     for (size_t i = 0; i < alive.size(); ++i)
         ASSERT_EQ(fired[i], alive[i].token) << "position " << i;
+}
+
+namespace
+{
+
+/**
+ * The naive reference engine: a flat list of events, each fire a
+ * linear search for the least live (when, seq). It implements the
+ * contract the real engine must match -- (tick, seq) order, the
+ * daemon rule, stop(), runUntil() limits, reset() keeping seq.
+ */
+class NaiveQueue
+{
+  public:
+    Tick curTick() const { return cur; }
+
+    uint64_t
+    schedule(Tick when, std::function<void()> fn, bool daemon)
+    {
+        evs.push_back({when, seq++, daemon, true, std::move(fn)});
+        ++pending;
+        daemons += daemon;
+        return evs.size(); // id = index + 1
+    }
+
+    void
+    deschedule(uint64_t id)
+    {
+        if (id >= 1 && id <= evs.size() && evs[id - 1].live)
+            retire(evs[id - 1]);
+    }
+
+    size_t numPending() const { return pending; }
+    size_t numDaemon() const { return daemons; }
+
+    Tick
+    runUntil(Tick limit)
+    {
+        stopped = false;
+        while (!stopped && numPending() != numDaemon()) {
+            size_t best = evs.size();
+            for (size_t i = 0; i < evs.size(); ++i) {
+                if (evs[i].live &&
+                    (best == evs.size() ||
+                     evs[i].when < evs[best].when ||
+                     (evs[i].when == evs[best].when &&
+                      evs[i].seq < evs[best].seq)))
+                    best = i;
+            }
+            if (evs[best].when > limit)
+                break;
+            cur = evs[best].when;
+            retire(evs[best]);
+            std::function<void()> fn = evs[best].fn; // evs may grow
+            fn();
+        }
+        return cur;
+    }
+
+    Tick run() { return runUntil(~Tick(0)); }
+    void stop() { stopped = true; }
+
+    void
+    reset()
+    {
+        evs.clear();
+        pending = daemons = 0;
+        cur = 0;
+        stopped = false;
+    }
+
+  private:
+    struct Ev
+    {
+        Tick when;
+        uint64_t seq;
+        bool daemon;
+        bool live;
+        std::function<void()> fn;
+    };
+
+    void
+    retire(Ev &e)
+    {
+        e.live = false;
+        --pending;
+        daemons -= e.daemon;
+    }
+
+    std::vector<Ev> evs;
+    size_t pending = 0;
+    size_t daemons = 0;
+    Tick cur = 0;
+    uint64_t seq = 0;
+    bool stopped = false;
+};
+
+/** The real engine behind NaiveQueue's interface. */
+struct RealQueue
+{
+    EventQueue q;
+
+    Tick curTick() const { return q.curTick(); }
+
+    template <typename F>
+    uint64_t
+    schedule(Tick when, F &&fn, bool daemon)
+    {
+        return daemon ? q.scheduleDaemon(when, std::forward<F>(fn))
+                      : q.schedule(when, std::forward<F>(fn));
+    }
+
+    void deschedule(uint64_t id) { q.deschedule(id); }
+    size_t numPending() const { return q.numPending(); }
+    size_t numDaemon() const { return q.numDaemon(); }
+    Tick runUntil(Tick limit) { return q.runUntil(limit); }
+    Tick run() { return q.run(); }
+    void stop() { q.stop(); }
+    void reset() { q.reset(); }
+};
+
+/** Pick-0 controller that checks what it is offered. */
+struct DefaultOrderController : ScheduleController
+{
+    size_t decisions = 0;
+
+    size_t
+    pick(const EventChoice *c, size_t n) override
+    {
+        ++decisions;
+        for (size_t i = 1; i < n; ++i) {
+            EXPECT_EQ(c[i].when, c[0].when) << "candidates span ticks";
+            EXPECT_LT(c[i - 1].seq, c[i].seq) << "candidates out of order";
+        }
+        return 0;
+    }
+};
+
+/**
+ * A seeded schedule/cancel/stop script, played identically against
+ * any engine with NaiveQueue's interface. Every fired event draws its
+ * actions from an RNG seeded by its token, so two engines that fire
+ * the same events in the same order run the same script: children
+ * at delays that straddle the wheel/heap boundary (0, 1, 4095, 4096,
+ * 4097, far future), daemon children, cancels of a random token
+ * (often one already fired) and of the event's own id, and stop().
+ * Between legs, events are scheduled from outside any callback, and
+ * a leg is a run(), a runUntil() to a limit, or a reset().
+ */
+template <typename Q>
+struct ScriptDriver
+{
+    Q q;
+    uint64_t seed;
+    /** (token, tick) per fired event, then a per-leg summary line. */
+    std::vector<std::string> log;
+    /** Engine id by token; tokens of earlier reset epochs are
+     *  dropped (ids do not survive reset()). */
+    std::vector<uint64_t> idOf;
+    std::vector<int> epoch;
+    int tokens = 0;
+    static constexpr int maxTokens = 8000;
+    /** Fired events run their script (else they only log). */
+    bool scripted = true;
+
+    explicit ScriptDriver(uint64_t s) : seed(s) {}
+
+    static Cycles
+    delay(std::mt19937_64 &r)
+    {
+        static const Cycles edge[] = {0,    1,    2,    4095,
+                                      4096, 4097, 8191, 8192};
+        switch (r() % 4) {
+          case 0:
+            return edge[r() % 8];
+          case 1:
+            return r() % 64;
+          case 2:
+            return r() % 5000;
+          default:
+            return r() % 16 == 0 ? (Cycles(1) << 40) + r() % 7
+                                 : 100000 + r() % 3;
+        }
+    }
+
+    void
+    add(Tick when, bool daemon)
+    {
+        int tok = tokens++;
+        uint64_t id =
+            q.schedule(when, [this, tok]() { fired(tok); }, daemon);
+        idOf.push_back(id);
+        epoch.push_back(tok);
+    }
+
+    void
+    fired(int tok)
+    {
+        log.push_back(std::to_string(tok) + "@" +
+                      std::to_string(q.curTick()));
+        if (!scripted)
+            return;
+        std::mt19937_64 r(seed * 0x9E3779B97F4A7C15ull +
+                          static_cast<uint64_t>(tok));
+        int kids = static_cast<int>(r() % 20);
+        kids = kids < 8 ? 0 : kids < 15 ? 1 : 2; // mean 0.85
+        for (int k = 0; k < kids && tokens < maxTokens; ++k) {
+            Cycles d = delay(r);
+            add(q.curTick() + d, r() % 12 == 0);
+        }
+        if (r() % 4 == 0 && !epoch.empty())
+            q.deschedule(idOf[epoch[r() % epoch.size()]]);
+        if (r() % 8 == 0)
+            q.deschedule(idOf[tok]); // the firing event's own id
+        if (r() % 97 == 0)
+            q.stop();
+    }
+
+    void
+    play(int legs)
+    {
+        std::mt19937_64 r(seed);
+        for (int leg = 0; leg < legs; ++leg) {
+            int outside = static_cast<int>(r() % 40);
+            for (int i = 0; i < outside && tokens < maxTokens; ++i) {
+                Cycles d = delay(r);
+                add(q.curTick() + d, r() % 10 == 0);
+            }
+            unsigned kind = r() % 10;
+            Tick ret = 0;
+            if (kind < 4) {
+                ret = q.run();
+            } else if (kind < 9) {
+                static const Cycles span[] = {0, 1, 4095, 4096, 5000,
+                                              100000};
+                ret = q.runUntil(q.curTick() + span[r() % 6]);
+            } else {
+                reset();
+            }
+            log.push_back("leg " + std::to_string(leg) + ": ret " +
+                          std::to_string(ret) + " cur " +
+                          std::to_string(q.curTick()) + " pending " +
+                          std::to_string(q.numPending()) + " daemons " +
+                          std::to_string(q.numDaemon()));
+        }
+        q.run();
+        log.push_back("final cur " + std::to_string(q.curTick()) +
+                      " pending " + std::to_string(q.numPending()));
+        // The last real event's tick also holds a daemon behind it:
+        // the drain must stop between the two.
+        reset();
+        scripted = false;
+        add(5, false);
+        add(5, true);
+        q.run();
+        log.push_back("daemon tail cur " + std::to_string(q.curTick()) +
+                      " pending " + std::to_string(q.numPending()));
+    }
+
+    void
+    reset()
+    {
+        q.reset();
+        epoch.clear();
+        std::fill(idOf.begin(), idOf.end(), invalidEventId);
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, CallbackScriptMatchesReferenceModelAcrossLanes)
+{
+    // The script above, against the naive model: schedules and
+    // cancels from inside callbacks on every lane (same-tick, wheel,
+    // the wheel/heap boundary and its wrap-around, far-future heap),
+    // daemons, stop() and runUntil() legs that end mid-tick, reset()
+    // between legs -- and a pick-0 controller, whose run must be the
+    // uncontrolled one.
+    for (uint64_t seed : {1u, 2u, 0xC0FFEEu}) {
+        ScriptDriver<NaiveQueue> model(seed);
+        model.play(60);
+        ScriptDriver<RealQueue> real(seed);
+        real.play(60);
+        ScriptDriver<RealQueue> controlled(seed);
+        DefaultOrderController ctl;
+        controlled.q.q.setScheduleController(&ctl);
+        controlled.play(60);
+
+        ASSERT_GT(model.log.size(), 1000u) << "seed " << seed;
+        ASSERT_EQ(real.log.size(), model.log.size()) << "seed " << seed;
+        for (size_t i = 0; i < model.log.size(); ++i)
+            ASSERT_EQ(real.log[i], model.log[i])
+                << "seed " << seed << " line " << i;
+        EXPECT_EQ(controlled.log, real.log) << "seed " << seed;
+        EXPECT_GT(ctl.decisions, 0u);
+    }
 }
 
 TEST(EventQueue, NumFiredTotalSurvivesReset)

@@ -6,7 +6,8 @@
  * thread redirect, and the headline determinism contract -- runJobs()
  * aggregation (telemetry AND every merged observability artifact) is
  * byte-identical whatever the worker count -- and the per-artifact
- * render/write cost benchMain() puts in the JSON record.
+ * render/write cost benchMain() puts in the JSON record, and (in
+ * SPECRT_PROFILE builds) the per-context event profile.
  *
  * Links bench_harness, not just specrt; registered with its own rule
  * in tests/CMakeLists.txt.
@@ -313,6 +314,57 @@ TEST(TelemetryRunJobs, DisabledEventLogStaysEmpty)
     EXPECT_EQ(obs::log().recorded(), 0u);
     bench::setJobs(1);
     bench::telemetry() = bench::Telemetry{};
+}
+
+namespace
+{
+
+/** The merged per-kind event profile after fanning 4 HW runs. */
+prof::Profile
+profileAtFanout(unsigned workers)
+{
+    SimContext proc;
+    ScopedSimContext active(proc);
+    bench::setJobs(workers);
+    auto outcomes = bench::runJobs(4, [](size_t id, SimContext &) {
+        Fig1BLoop loop(8 + 2 * id);
+        MachineConfig cfg;
+        cfg.numProcs = 4;
+        ExecConfig xc;
+        xc.mode = ExecMode::HW;
+        bench::telemetry().recordRun(LoopExecutor(cfg, loop, xc).run());
+    });
+    for (const auto &o : outcomes)
+        EXPECT_TRUE(o.ok) << o.error;
+    bench::setJobs(1);
+    bench::telemetry() = bench::Telemetry{};
+    return proc.recorders().profile;
+}
+
+} // namespace
+
+TEST(TelemetryRunJobs, EventProfileIsPerContextAndFanoutInvariant)
+{
+    if constexpr (!profileEnabled)
+        GTEST_SKIP() << "needs a -DSPECRT_PROFILE=ON build";
+    // Each job's queues count into the job's own context, merged in
+    // job-id order: no shared counter for concurrent workers to race
+    // on, so the histogram cannot depend on the worker count.
+    prof::Profile serial = profileAtFanout(1);
+    prof::Profile parallel = profileAtFanout(2);
+    EXPECT_EQ(serial.events, parallel.events);
+    uint64_t total = 0;
+    for (uint64_t n : serial.events)
+        total += n;
+    EXPECT_GT(total, 0u);
+    // Every scheduling site names its layer; only daemons (none
+    // here: the timeline is off) would count as generic.
+    EXPECT_EQ(serial.events[static_cast<size_t>(EventKind::Generic)],
+              0u);
+    EXPECT_GT(serial.events[static_cast<size_t>(EventKind::Network)],
+              0u);
+    EXPECT_GT(serial.events[static_cast<size_t>(EventKind::Processor)],
+              0u);
 }
 
 // --- the bench record's per-artifact cost ------------------------------
