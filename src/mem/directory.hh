@@ -6,14 +6,18 @@
  * Uncached. Up to maxProcs (64) nodes are supported (one presence bit
  * each), which comfortably covers the paper's 16-processor machine.
  *
- * Storage is a dense array indexed by line id (addr >> log2(line)),
+ * Storage is a dense table indexed by line id (addr >> log2(line)),
  * mirroring the flat SRAM tables of the modeled hardware: entries
  * for consecutive lines share cache lines and every protocol action
- * is an index, not a hash probe. The simulated address space starts
- * at the first page and grows contiguously (mem/addr_map.hh), so the
- * array stays proportional to the footprint under test; anything
- * past the dense window (absurdly sparse addresses in synthetic
- * tests) falls back to a hash map.
+ * is an index, not a hash probe. The table is paged: a page of
+ * pageLen entries is allocated zeroed on first touch and never
+ * moves, so a growing footprint costs no relocation, and a home
+ * allocates only the pages holding lines it homes (regions are
+ * homed by page, mem/addr_map.hh). The simulated address space
+ * starts at the first page and grows contiguously, so the page table
+ * stays proportional to the footprint under test; anything past the
+ * dense window (absurdly sparse addresses in synthetic tests) falls
+ * back to a hash map.
  */
 
 #ifndef SPECRT_MEM_DIRECTORY_HH
@@ -21,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -82,9 +87,10 @@ class Directory
         uint64_t id = line_addr >> lineShift;
         if (id >= denseLimit)
             return overflowEntry(line_addr);
-        if (id >= dense.size())
-            growTo(id);
-        DirEntry &e = dense[id];
+        uint64_t pg = id >> pageShift;
+        if (pg >= pages.size() || !pages[pg])
+            addPage(pg);
+        DirEntry &e = pages[pg][id & pageMask];
         if (!e.touched) {
             e.touched = 1;
             touchedIds.push_back(static_cast<uint32_t>(id));
@@ -97,8 +103,13 @@ class Directory
     find(Addr line_addr) const
     {
         uint64_t id = line_addr >> lineShift;
-        if (id < dense.size())
-            return dense[id].touched ? &dense[id] : nullptr;
+        if (id < denseLimit) {
+            uint64_t pg = id >> pageShift;
+            if (pg >= pages.size() || !pages[pg])
+                return nullptr;
+            const DirEntry &e = pages[pg][id & pageMask];
+            return e.touched ? &e : nullptr;
+        }
         auto it = overflow.find(line_addr);
         return it == overflow.end() ? nullptr : &it->second;
     }
@@ -110,7 +121,7 @@ class Directory
     clear()
     {
         for (uint32_t id : touchedIds)
-            dense[id] = DirEntry{};
+            pages[id >> pageShift][id & pageMask] = DirEntry{};
         touchedIds.clear();
         overflow.clear();
     }
@@ -122,9 +133,16 @@ class Directory
     void
     forEach(F &&f) const
     {
-        for (size_t id = 0; id < dense.size(); ++id) {
-            if (dense[id].touched)
-                f(static_cast<Addr>(id) << lineShift, dense[id]);
+        for (size_t pg = 0; pg < pages.size(); ++pg) {
+            if (!pages[pg])
+                continue;
+            for (uint32_t i = 0; i < pageLen; ++i) {
+                const DirEntry &e = pages[pg][i];
+                if (e.touched)
+                    f(static_cast<Addr>((pg << pageShift) | i)
+                          << lineShift,
+                      e);
+            }
         }
         for (const auto &[addr, e] : overflow)
             f(addr, e);
@@ -135,14 +153,17 @@ class Directory
      *  lines: far beyond any modeled footprint). */
     static constexpr uint64_t denseLimit = uint64_t(1) << 24;
 
+    /** Entries per page: one 4 KiB homing page of 64-byte lines. */
+    static constexpr uint32_t pageShift = 6;
+    static constexpr uint32_t pageLen = 1u << pageShift;
+    static constexpr uint32_t pageMask = pageLen - 1;
+
     void
-    growTo(uint64_t id)
+    addPage(uint64_t pg)
     {
-        size_t want = static_cast<size_t>(id) + 1;
-        size_t cap = dense.empty() ? 1024 : dense.size();
-        while (cap < want)
-            cap *= 2;
-        dense.resize(cap);
+        if (pg >= pages.size())
+            pages.resize(static_cast<size_t>(pg) + 1);
+        pages[pg] = std::make_unique<DirEntry[]>(pageLen);
     }
 
     DirEntry &
@@ -156,7 +177,8 @@ class Directory
     uint32_t lineShift;
     /** Dense ids whose entry is touched, in first-touch order. */
     std::vector<uint32_t> touchedIds;
-    std::vector<DirEntry> dense;
+    /** Dense pages by page id (null = no line of it touched yet). */
+    std::vector<std::unique_ptr<DirEntry[]>> pages;
     std::unordered_map<Addr, DirEntry> overflow;
 };
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "mem/directory.hh"
 #include "mem/dsm.hh"
@@ -197,4 +199,30 @@ TEST(Directory, ClearForgetsDenseAndOverflowEntries)
         EXPECT_EQ(e.sharers, 0u);
         EXPECT_EQ(dir.numEntries(), 1u);
     }
+}
+
+TEST(Directory, PagedTableVisitsLinesInAddressOrder)
+{
+    Directory dir(64);
+    // Line ids on both sides of page boundaries, one far page, and
+    // first touches out of address order.
+    const std::vector<Addr> order = {Addr(128) << 6, Addr(63) << 6,
+                                     Addr(5000) << 6, Addr(64) << 6,
+                                     Addr(127) << 6, Addr(0)};
+    for (Addr a : order)
+        dir.entry(a).addSharer(1);
+    std::vector<Addr> seen;
+    dir.forEach([&](Addr a, const DirEntry &e) {
+        EXPECT_TRUE(e.isSharer(1));
+        seen.push_back(a);
+    });
+    std::vector<Addr> sorted = order;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(seen, sorted);
+    // Untouched lines: in an allocated page, in a page between
+    // allocated ones, and past the last page.
+    EXPECT_EQ(dir.find(Addr(62) << 6), nullptr);
+    EXPECT_EQ(dir.find(Addr(1000) << 6), nullptr);
+    EXPECT_EQ(dir.find(Addr(9000) << 6), nullptr);
+    EXPECT_NE(dir.find(Addr(5000) << 6), nullptr);
 }
