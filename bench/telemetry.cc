@@ -73,9 +73,7 @@ constexpr size_t numPathFlags = std::size(pathFlags);
 
 enum : size_t
 {
-    timelineFlag = static_cast<size_t>(obs::Consumer::Timeline),
     critpathFlag = static_cast<size_t>(obs::Consumer::Critpath),
-    eventsFlag = static_cast<size_t>(obs::Consumer::Events),
     reportFlag = obs::numArtifacts,
     statusFlag,
 };
@@ -118,45 +116,24 @@ processTelemetry()
     return t;
 }
 
-std::string
-jsonEscape(const std::string &s)
+/** Sum @p c into @p sum when @p c is valid (procs: the max). */
+void
+addCost(stall::CostBreakdown &sum, const stall::CostBreakdown &c)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    char buf[64];
-    // %.17g round-trips doubles; integers up to 2^53 print exactly.
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // JSON has no inf/nan.
-    if (std::strstr(buf, "inf") || std::strstr(buf, "nan"))
-        return "0";
-    return buf;
+    if (!c.valid)
+        return;
+    sum.valid = true;
+    sum.numProcs = std::max(sum.numProcs, c.numProcs);
+    sum.perNodeTicks += c.perNodeTicks;
+    sum.busy += c.busy;
+    for (size_t i = 0; i < stall::numCauses; ++i)
+        sum.stalls[i] += c.stalls[i];
 }
 
 /**
- * Append @p record to the JSON array in @p path, creating the file
- * (as a one-element array) when missing or unparsable.
+ * Append @p record (newline-terminated) to the JSON array in @p path,
+ * creating the file (as a one-element array) when missing or
+ * unparsable.
  */
 bool
 appendRecord(const std::string &path, const std::string &record)
@@ -178,7 +155,7 @@ appendRecord(const std::string &path, const std::string &record)
     size_t end = existing.find_last_of(']');
     if (end == std::string::npos ||
         existing.find('[') == std::string::npos) {
-        os << "[\n" << record << "\n]\n";
+        os << "[\n" << record << "]\n";
         return static_cast<bool>(os);
     }
     std::string head = existing.substr(0, end);
@@ -187,7 +164,7 @@ appendRecord(const std::string &path, const std::string &record)
             head.back() == '\t' || head.back() == '\r'))
         head.pop_back();
     bool emptyArray = !head.empty() && head.back() == '[';
-    os << head << (emptyArray ? "\n" : ",\n") << record << "\n]\n";
+    os << head << (emptyArray ? "\n" : ",\n") << record << "]\n";
     return static_cast<bool>(os);
 }
 
@@ -296,14 +273,7 @@ Telemetry::recordRun(const RunResult &r)
     ++runs;
     if (r.infraFailed)
         ++infraFailedRuns;
-    if (r.cost.valid) {
-        cost.valid = true;
-        cost.numProcs = std::max(cost.numProcs, r.cost.numProcs);
-        cost.perNodeTicks += r.cost.perNodeTicks;
-        cost.busy += r.cost.busy;
-        for (size_t i = 0; i < stall::numCauses; ++i)
-            cost.stalls[i] += r.cost.stalls[i];
-    }
+    addCost(cost, r.cost);
 }
 
 void
@@ -336,14 +306,7 @@ Telemetry::merge(const Telemetry &shard)
         metric(kv.first, kv.second);
     if (!shard.stats.empty())
         stats = shard.stats;
-    if (shard.cost.valid) {
-        cost.valid = true;
-        cost.numProcs = std::max(cost.numProcs, shard.cost.numProcs);
-        cost.perNodeTicks += shard.cost.perNodeTicks;
-        cost.busy += shard.cost.busy;
-        for (size_t i = 0; i < stall::numCauses; ++i)
-            cost.stalls[i] += shard.cost.stalls[i];
-    }
+    addCost(cost, shard.cost);
 }
 
 int
@@ -417,13 +380,8 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
         if (!written[c])
             rc = rc ? rc : 1;
     }
-    const timeline::Timeline &tl = obsRec.timeline;
     const critpath::Recorder &cp = obsRec.critpath;
-    const obs::EventLog &ev = obsRec.events;
-    const std::string &timelinePath = paths[timelineFlag];
-    const std::string &critpathPath = paths[critpathFlag];
-    const std::string &eventsPath = paths[eventsFlag];
-    if (!critpathPath.empty() && !cp.summaryLine().empty())
+    if (!paths[critpathFlag].empty() && !cp.summaryLine().empty())
         std::printf("[critpath] %s\n", cp.summaryLine().c_str());
 
     double wallMs =
@@ -437,29 +395,34 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
                      ? static_cast<double>(t.eventsFired) / wallS
                      : 0.0;
 
-    char fp[32];
-    std::snprintf(fp, sizeof(fp), "%016" PRIx64,
-                  MachineConfig{}.fingerprint());
     // The fingerprint of the machine the bench actually ran, when a
-    // LoopExecutor published one (benches with custom configs).
-    const std::string &ranFp = SimContext::current().configFingerprint;
+    // LoopExecutor published one (benches with custom configs), else
+    // that of the default machine.
+    std::string fp = SimContext::current().configFingerprint;
+    if (fp.empty()) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%016" PRIx64,
+                      MachineConfig{}.fingerprint());
+        fp = buf;
+    }
+
+    obs::ReportInputs ri;
+    ri.name = name;
+    ri.gitSha = SPECRT_GIT_SHA;
+    ri.configFingerprint = fp;
+    ri.baseSeed = SimContext::current().baseSeed;
+    ri.simTicks = t.simTicks;
+    ri.eventsFired = t.eventsFired;
+    ri.runs = t.runs;
+    ri.infraFailedRuns = t.infraFailedRuns;
+    ri.metrics = t.metrics;
+    ri.stats = t.stats;
+    ri.cost = t.cost;
+    ri.critpath = &cp;
+    ri.timeline = &obsRec.timeline;
+    ri.events = &obsRec.events;
 
     if (!reportPath.empty()) {
-        obs::ReportInputs ri;
-        ri.name = name;
-        ri.gitSha = SPECRT_GIT_SHA;
-        ri.configFingerprint = ranFp.empty() ? fp : ranFp;
-        ri.baseSeed = SimContext::current().baseSeed;
-        ri.simTicks = t.simTicks;
-        ri.eventsFired = t.eventsFired;
-        ri.runs = t.runs;
-        ri.infraFailedRuns = t.infraFailedRuns;
-        ri.metrics = t.metrics;
-        ri.stats = t.stats;
-        ri.cost = t.cost;
-        ri.critpath = &cp;
-        ri.timeline = &tl;
-        ri.events = &ev;
         if (obs::writeReport(ri, reportPath)) {
             std::printf("[report] wrote unified run report to %s\n",
                         reportPath.c_str());
@@ -475,112 +438,62 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
     if (!writeJson)
         return rc;
 
-    std::ostringstream rec;
-    rec << "  {\n"
-        << "    \"schema\": 1,\n"
-        << "    \"bench\": \"" << jsonEscape(name) << "\",\n"
-        << "    \"quick\": " << (quickMode ? "true" : "false")
-        << ",\n"
-        << "    \"git_sha\": \"" << jsonEscape(SPECRT_GIT_SHA)
-        << "\",\n"
-        << "    \"config_fingerprint\": \"" << fp << "\",\n"
-        << "    \"exit_code\": " << rc << ",\n"
-        << "    \"wall_ms\": " << jsonNumber(wallMs) << ",\n"
-        << "    \"sim_ticks\": " << t.simTicks << ",\n"
-        << "    \"events_fired\": " << t.eventsFired << ",\n"
-        << "    \"ticks_per_sec\": " << jsonNumber(tps) << ",\n"
-        << "    \"events_per_sec\": " << jsonNumber(eps) << ",\n"
-        << "    \"runs\": " << t.runs << ",\n"
-        << "    \"infra_failed_runs\": " << t.infraFailedRuns << ",\n";
-    if (!timelinePath.empty()) {
-        // Timeline-derived keys; the perf gate treats unknown keys
-        // as informational (scripts/check_bench_regression.py).
-        rec << "    \"timeline_samples\": " << tl.numSamples()
-            << ",\n"
-            << "    \"timeline_series\": " << tl.numSeries() << ",\n"
-            << "    \"timeline_out\": \"" << jsonEscape(timelinePath)
-            << "\",\n";
-    }
-    if (!critpathPath.empty()) {
-        rec << "    \"critpath_txns\": " << cp.numTxns() << ",\n"
-            << "    \"critpath_summary\": \""
-            << jsonEscape(cp.summaryLine()) << "\",\n"
-            << "    \"critpath_out\": \"" << jsonEscape(critpathPath)
-            << "\",\n";
-    }
-    if (!eventsPath.empty() || !reportPath.empty()) {
-        rec << "    \"events_recorded\": " << ev.recorded() << ",\n"
-            << "    \"events_dropped\": " << ev.dropped() << ",\n";
-        if (!eventsPath.empty()) {
-            rec << "    \"events_out\": \"" << jsonEscape(eventsPath)
-                << "\",\n";
-        }
-        if (!reportPath.empty()) {
-            rec << "    \"report_out\": \"" << jsonEscape(reportPath)
-                << "\",\n";
-        }
-    }
+    // The record is the report plus what only the host knows.
+    std::ostringstream host;
+    host << "{\n"
+         << "    \"quick\": " << (quickMode ? "true" : "false") << ",\n"
+         << "    \"exit_code\": " << rc << ",\n"
+         << "    \"wall_ms\": " << obs::jsonNumber(wallMs) << ",\n"
+         << "    \"ticks_per_sec\": " << obs::jsonNumber(tps) << ",\n"
+         << "    \"events_per_sec\": " << obs::jsonNumber(eps) << ",\n"
+         << "    \"mem_peak_rss_kb\": " << peakRssKb() << ",\n"
+         << "    \"mem_arena_hwm_blocks\": "
+         << std::max(Arena::maxHighWater(),
+                     SimContext::current().arenaHighWater());
     // What each written artifact cost to render and to write, and
-    // its size; informational for the perf gate.
+    // its size.
     bool anyWritten = false;
     for (size_t c = 0; c < obs::numArtifacts; ++c) {
         if (!written[c])
             continue;
-        rec << (anyWritten ? ", " : "    \"obs\": {") << "\""
-            << obs::artifactName(static_cast<obs::Consumer>(c))
-            << "\": {\"render_ms\": " << jsonNumber(written[c].renderMs)
-            << ", \"write_ms\": " << jsonNumber(written[c].writeMs)
-            << ", \"bytes\": " << written[c].bytes << "}";
+        host << (anyWritten ? ", " : ",\n    \"obs\": {") << "\""
+             << obs::artifactName(static_cast<obs::Consumer>(c))
+             << "\": {\"render_ms\": "
+             << obs::jsonNumber(written[c].renderMs)
+             << ", \"write_ms\": " << obs::jsonNumber(written[c].writeMs)
+             << ", \"bytes\": " << written[c].bytes << "}";
         anyWritten = true;
     }
     if (anyWritten)
-        rec << "},\n";
-    // Host memory figures; the perf gate reads unknown mem_* keys as
-    // informational rows, never as pass/fail.
-    rec << "    \"mem_peak_rss_kb\": " << peakRssKb() << ",\n"
-        << "    \"mem_arena_hwm_blocks\": "
-        << std::max(Arena::maxHighWater(),
-                    SimContext::current().arenaHighWater())
-        << ",\n";
+        host << "}";
     if constexpr (profileEnabled) {
         // SPECRT_PROFILE builds: fired events and sampled host ns per
         // EventKind (this context's, with every runJobs job merged).
-        const prof::Profile &p = SimContext::current().recorders().profile;
+        const prof::Profile &p = obsRec.profile;
         auto perKind = [&](const char *key,
                            const std::array<uint64_t, numEventKinds> &v) {
-            rec << "\"" << key << "\": {";
+            host << "\"" << key << "\": {";
             bool firstKey = true;
             for (size_t k = 0; k < numEventKinds; ++k) {
                 if (!p.events[k])
                     continue;
-                rec << (firstKey ? "" : ", ") << "\""
-                    << jsonEscape(eventKindName(
-                           static_cast<EventKind>(k)))
-                    << "\": " << v[k];
+                host << (firstKey ? "" : ", ") << "\""
+                     << eventKindName(static_cast<EventKind>(k))
+                     << "\": " << v[k];
                 firstKey = false;
             }
-            rec << "}";
+            host << "}";
         };
-        rec << "    \"profile\": {";
+        host << ",\n    \"profile\": {";
         perKind("events", p.events);
-        rec << ", ";
+        host << ", ";
         perKind("host_ns", p.hostNs);
-        rec << "},\n";
+        host << "}";
     }
-    rec << "    \"metrics\": {";
-    for (size_t i = 0; i < t.metrics.size(); ++i) {
-        rec << (i ? ", " : "") << "\"" << jsonEscape(t.metrics[i].first)
-            << "\": " << jsonNumber(t.metrics[i].second);
-    }
-    rec << "},\n";
-    rec << "    \"stats\": {";
-    for (size_t i = 0; i < t.stats.size(); ++i) {
-        rec << (i ? ", " : "") << "\"" << jsonEscape(t.stats[i].first)
-            << "\": " << jsonNumber(t.stats[i].second);
-    }
-    rec << "}\n  }";
+    host << "\n  }";
+    ri.host = host.str();
 
-    if (!appendRecord(outPath, rec.str())) {
+    if (!appendRecord(outPath, obs::renderReport(ri))) {
         std::fprintf(stderr, "%s: failed to write telemetry to %s\n",
                      name, outPath.c_str());
         return rc ? rc : 1;

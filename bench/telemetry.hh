@@ -4,12 +4,28 @@
  *
  * Every bench binary runs through benchMain() (see the
  * SPECRT_BENCH_MAIN macro), which times the bench body, accumulates
- * simulated work via the Telemetry singleton, and appends one JSON
- * record to BENCH_results.json: wall time, simulated ticks, ticks
- * per second, events fired, a per-counter Stats snapshot of the last
- * machine, a machine-config fingerprint, and the git SHA the binary
- * was built from. scripts/check_bench_regression.py compares those
- * records against bench/baseline.json in CI.
+ * simulated work via the Telemetry singleton, and appends one record
+ * to BENCH_results.json. The record is the run report
+ * (obs/report.hh: simulated ticks, events fired, runs, metrics, the
+ * Stats snapshot of the last machine, cost, critical-path, timeline
+ * and event sections, the machine-config fingerprint and the git
+ * SHA) plus one "host" object with what only the host knows:
+ *
+ *   "host": {"quick", "exit_code", "wall_ms", "ticks_per_sec",
+ *            "events_per_sec", "mem_peak_rss_kb" (getrusage),
+ *            "mem_arena_hwm_blocks" (largest message-arena
+ *            high-water mark),
+ *            "obs": {"<artifact>": {"render_ms", "write_ms",
+ *                                   "bytes"}, ...}  (one entry per
+ *            artifact a --*-out flag wrote, measured by
+ *            obs::Recorders::write),
+ *            "profile": {"events", "host_ns"}  (SPECRT_PROFILE
+ *            builds: per-EventKind fired events and sampled host ns)}
+ *
+ * scripts/check_bench_regression.py gates the records' name,
+ * host.exit_code, host.ticks_per_sec and metrics against
+ * bench/baseline.json in CI; examples/report_diff diffs two records
+ * (host rows neutral) or two reports.
  *
  * Flags understood by every bench binary:
  *   --quick       CI smoke sizing (benches consult bench::quick())
@@ -30,37 +46,27 @@
  *                 the trace JSON as Perfetto counter tracks. Jobs
  *                 fanned out via runJobs() sample into per-job
  *                 timelines merged in job-id order, so the CSV is
- *                 identical whatever --jobs was. Adds
- *                 timeline_samples / timeline_series keys to the
- *                 JSON record.
+ *                 identical whatever --jobs was.
  *   --events-out <path>  enable the structured event log
  *                 (obs/event_log.hh) and write the merged JSONL to
  *                 <path>. Jobs fanned out via runJobs() record into
  *                 per-job logs merged in job-id order, so the file
  *                 is byte-identical whatever --jobs was.
- *   --report-out <path>  write the unified run report
- *                 (obs/report.hh) to <path>; implies the event log
- *                 so the report's events section is populated.
+ *   --report-out <path>  write the run report (the record without
+ *                 "host", so byte-identical across --jobs) to
+ *                 <path>; implies the event log so the report's
+ *                 events section is populated.
  *   --status-out <path>  stream live campaign progress snapshots
  *                 (sim/campaign.hh progressPath) to <path> while
  *                 runJobs() is in flight; tail with
  *                 scripts/specrt_top.py.
  *
- * Each artifact a --*-out flag wrote adds its cost to the record's
- * "obs" object: "obs": {"trace": {"render_ms": ..., "write_ms": ...,
- * "bytes": ...}, ...}, one entry per written artifact
- * (obs::Recorders::write measures them).
- *
- * The JSON record also always carries host memory figures --
- * mem_peak_rss_kb (getrusage) and mem_arena_hwm_blocks (the largest
- * message-arena high-water mark) -- which the perf gate reads as
- * informational keys.
- *
  * Concurrency: telemetry() is the PROCESS accumulator on the main
  * thread, but campaign jobs run on worker threads -- there it
  * resolves to the job's own shard (installed by ScopedTelemetry), and
  * runJobs() merges the shards into the process accumulator in job-id
- * order, so the JSON record is identical whatever --jobs was.
+ * order, so the record outside "host" is identical whatever --jobs
+ * was.
  */
 
 #ifndef SPECRT_BENCH_TELEMETRY_HH

@@ -50,8 +50,8 @@
 #include "core/loop_exec.hh"
 #include "mem/directory.hh"
 #include "mem/dsm.hh"
-#include "mem/invariants.hh"
 #include "sim/sim_context.hh"
+#include "spec/invariants.hh"
 #include "spec/spec_unit.hh"
 #include "verify/explorer.hh"
 #include "workloads/microloops.hh"

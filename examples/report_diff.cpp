@@ -1,13 +1,17 @@
 /**
  * @file
- * Compare two report.json files (bench --report-out) and print the
- * regression-highlighting Markdown table.
+ * Compare two runs and print the regression-highlighting Markdown
+ * table (obs::diff, the one differ).
  *
  *     report_diff [--tolerance F] <a.json> <b.json>
  *
+ * Each side is a report (bench --report-out) or a results file
+ * (bench --out, BENCH_results.json), of which the last record is
+ * compared. A record is the report plus a "host" object; host.* rows
+ * are shown but never classified, since they depend on the machine.
+ *
  * Exit status: 0 = no regressions, 1 = at least one regression,
- * 2 = usage or I/O error. scripts/compare_runs.py is the Python twin
- * with the same direction rules plus informational host-side rows.
+ * 2 = usage or I/O error.
  */
 
 #include <cstdio>

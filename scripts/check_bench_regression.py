@@ -3,10 +3,10 @@
 baseline (bench/baseline.json) and fail on throughput regressions.
 
 For every bench present in both files, the current simulation rate
-(ticks_per_sec) must stay within a tolerance band of the baseline's.
-Benches without a baseline entry, or with a zero/absent rate (e.g.
-table-printing benches that simulate nothing), are skipped with a
-note. Benches may also declare their own gates via a metric named
+(the record's host.ticks_per_sec) must stay within a tolerance band
+of the baseline's. Benches without a baseline entry, or with a
+zero/absent rate (e.g. table-printing benches that simulate nothing),
+are skipped with a note. Benches may also declare their own gates via a metric named
 ``*_speedup`` with a ``min_<metric>`` entry in the baseline.
 
 Exit status: 0 when everything is in band, 1 on any violation, 2 on
@@ -40,29 +40,34 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-# Record keys the gate interprets. Anything else (e.g. the
-# timeline_samples / timeline_series / timeline_out keys written by
-# --timeline-out runs) is informational: noted, never a failure, and
-# never carried into the baseline by --rebase. mem_* keys (host
-# memory figures every record now carries) are informational too,
-# but printed with their values instead of the unknown-key note.
+# A record is the run report (obs/report.hh) plus a "host" object. The
+# gate reads "name", "metrics" and host.{exit_code, ticks_per_sec,
+# events_per_sec}; the other report sections are known but not gated.
+# A top-level key outside this set is noted, never a failure, and never
+# carried into the baseline by --rebase. host.mem_* (host memory
+# figures) are printed with their values, never gated.
 KNOWN_RECORD_KEYS = {
-    "schema", "bench", "quick", "git_sha", "config_fingerprint",
-    "exit_code", "wall_ms", "sim_ticks", "events_fired",
-    "ticks_per_sec", "events_per_sec", "runs", "infra_failed_runs",
-    "metrics", "stats",
+    "schema", "name", "git_sha", "config_fingerprint", "base_seed",
+    "sim_ticks", "events_fired", "runs", "infra_failed_runs",
+    "metrics", "stats", "cost", "critpath", "timeline", "events",
+    "host",
 }
 
 
 def unknown_keys(rec):
-    return sorted(k for k in rec
-                  if k not in KNOWN_RECORD_KEYS
-                  and not k.startswith("mem_"))
+    return sorted(k for k in rec if k not in KNOWN_RECORD_KEYS)
+
+
+def host(rec):
+    """The record's host-side figures (wall time, rates, memory)."""
+    h = rec.get("host", {})
+    return h if isinstance(h, dict) else {}
 
 
 def mem_keys(rec):
     """Informational host-memory figures (never gated)."""
-    return {k: rec[k] for k in sorted(rec) if k.startswith("mem_")}
+    h = host(rec)
+    return {k: h[k] for k in sorted(h) if k.startswith("mem_")}
 
 
 def load(path):
@@ -82,8 +87,8 @@ def latest_by_bench(records):
     """Keep the last record per bench name (results files append)."""
     out = {}
     for rec in records:
-        if isinstance(rec, dict) and "bench" in rec:
-            out[rec["bench"]] = rec
+        if isinstance(rec, dict) and "name" in rec:
+            out[rec["name"]] = rec
     return out
 
 
@@ -91,10 +96,11 @@ def rebase(results, baseline_path):
     base = []
     for name in sorted(results):
         rec = results[name]
+        h = host(rec)
         entry = {
             "bench": name,
-            "ticks_per_sec": rec.get("ticks_per_sec", 0),
-            "events_per_sec": rec.get("events_per_sec", 0),
+            "ticks_per_sec": h.get("ticks_per_sec", 0),
+            "events_per_sec": h.get("events_per_sec", 0),
         }
         # Carry headline speedup metrics as explicit minimum gates.
         # Timeline-derived metrics are observability output, not
@@ -130,11 +136,11 @@ def compare(results, baseline, tolerance, rows=None):
         if mem:
             print(f"info {name}: "
                   + ", ".join(f"{k}={v}" for k, v in mem.items()))
-        if rec.get("exit_code", 0) != 0:
-            print(f"FAIL {name}: bench exited nonzero "
-                  f"({rec.get('exit_code')})")
-            rows.append(("FAIL", name, "exit_code",
-                         rec.get("exit_code"), 0, 0))
+        h = host(rec)
+        exit_code = h.get("exit_code", 0)
+        if exit_code != 0:
+            print(f"FAIL {name}: bench exited nonzero ({exit_code})")
+            rows.append(("FAIL", name, "exit_code", exit_code, 0, 0))
             failures += 1
             continue
         base = baseline.get(name)
@@ -142,10 +148,10 @@ def compare(results, baseline, tolerance, rows=None):
             print(f"skip {name}: no baseline entry "
                   "(run --rebase to add it)")
             rows.append(("skip", name, "ticks_per_sec",
-                         rec.get("ticks_per_sec", 0), None, None))
+                         h.get("ticks_per_sec", 0), None, None))
             continue
 
-        cur = rec.get("ticks_per_sec", 0)
+        cur = h.get("ticks_per_sec", 0)
         ref = base.get("ticks_per_sec", 0)
         if cur and ref:
             floor = ref * (1.0 - tolerance)
@@ -229,33 +235,36 @@ def write_summary(rows, failures, path):
 def selftest():
     """Verify the gate's record-shape tolerance (run by CI).
 
-    1. Records carrying timeline-derived keys the gate does not know
-       must pass untouched (the keys are noted, never failures).
+    1. Records carrying keys the gate does not know must pass
+       untouched (the keys are noted, never failures).
     2. A genuine min_ gate violation must still fail in their
        presence.
     3. --rebase must not turn timeline-derived metrics into gates.
+    4. --summary renders every comparison row.
+    5. A bench that exited nonzero fails the gate.
     """
     timeline_rec = {
-        "bench": "smoke",
-        "exit_code": 0,
-        "ticks_per_sec": 100.0,
+        "schema": 1,
+        "name": "smoke",
         "metrics": {"foo_speedup": 1.0},
-        "timeline_samples": 5,
-        "timeline_series": 3,
+        "timeline": {"samples": 5, "series": 3, "hot": ""},
         "timeline_out": "timeline.csv",
-        "mem_peak_rss_kb": 51200,
-        "mem_arena_hwm_blocks": 77,
+        "host": {
+            "exit_code": 0,
+            "ticks_per_sec": 100.0,
+            "mem_peak_rss_kb": 51200,
+            "mem_arena_hwm_blocks": 77,
+        },
     }
-    assert unknown_keys(timeline_rec) == \
-        ["timeline_out", "timeline_samples", "timeline_series"], \
-        "mem_* keys are informational, not unknown"
+    assert unknown_keys(timeline_rec) == ["timeline_out"], \
+        "report sections and host are known keys"
     assert mem_keys(timeline_rec) == \
         {"mem_arena_hwm_blocks": 77, "mem_peak_rss_kb": 51200}
 
     baseline = {"smoke": {"bench": "smoke", "ticks_per_sec": 100.0,
                           "min_foo_speedup": 0.8}}
     _, failures = compare({"smoke": timeline_rec}, baseline, 0.75)
-    assert failures == 0, "unknown timeline keys must not fail the gate"
+    assert failures == 0, "unknown keys must not fail the gate"
 
     slow = dict(timeline_rec, metrics={"foo_speedup": 0.5})
     _, failures = compare({"smoke": slow}, baseline, 0.75)
@@ -271,6 +280,8 @@ def selftest():
     assert "min_foo_speedup" in rebased["smoke"]
     assert "min_timeline_sample_speedup" not in rebased["smoke"], \
         "rebase must not gate timeline-derived metrics"
+    assert rebased["smoke"]["ticks_per_sec"] == 100.0, \
+        "rebase must read the rate from host"
 
     # 4. --summary must render every comparison row, pass and fail
     #    alike, as a markdown table.
@@ -284,6 +295,11 @@ def selftest():
     assert "ticks_per_sec" in text and "foo_speedup" in text, \
         "summary must carry one row per comparison"
     assert "1 failure(s)" in text, "summary must report the verdict"
+
+    crashed = dict(timeline_rec,
+                   host=dict(timeline_rec["host"], exit_code=3))
+    _, failures = compare({"smoke": crashed}, baseline, 0.75)
+    assert failures == 1, "a nonzero host.exit_code must fail"
 
     print("selftest: OK")
     return 0

@@ -30,13 +30,13 @@
 #include "lrpd/lrpd.hh"
 #include "lrpd/lrpd_codegen.hh"
 #include "mem/dsm.hh"
-#include "mem/invariants.hh"
 #include "runtime/checkpoint.hh"
 #include "runtime/processor.hh"
 #include "runtime/scheduler.hh"
 #include "runtime/workload.hh"
 #include "sim/stall.hh"
 #include "sim/timeline.hh"
+#include "spec/invariants.hh"
 #include "spec/spec_unit.hh"
 
 namespace specrt
@@ -79,7 +79,7 @@ struct ExecConfig
     /** Keep the access trace in the result (tests). */
     bool keepTrace = false;
     /**
-     * Run the protocol invariant checker (mem/invariants.hh) at the
+     * Run the protocol invariant checker (spec/invariants.hh) at the
      * run's quiesce points and count violations into the result.
      */
     bool checkInvariants = false;

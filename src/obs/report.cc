@@ -158,7 +158,10 @@ renderReport(const ReportInputs &in)
         for (size_t i = from; i < aborts.size(); ++i)
             os << (i == from ? "" : ", ") << *aborts[i];
     }
-    os << "]\n  }\n}\n";
+    os << "]\n  }";
+    if (!in.host.empty())
+        os << ",\n  \"host\": " << in.host;
+    os << "\n}\n";
     return os.str();
 }
 
@@ -340,7 +343,15 @@ struct Parser
             return true;
         }
         for (size_t i = 0;; ++i) {
-            if (!parseValue(path + "[" + std::to_string(i) + "]",
+            // A top-level array is a results file of records: only
+            // its last one is kept, under unprefixed keys.
+            if (path.empty()) {
+                out.numbers.clear();
+                out.strings.clear();
+            }
+            if (!parseValue(path.empty() ? path
+                                         : path + "[" +
+                                               std::to_string(i) + "]",
                             out))
                 return false;
             skipWs();
@@ -400,6 +411,9 @@ keyDirection(const std::string &key)
         return key.find(s) != std::string::npos;
     };
 
+    // Host figures depend on the machine that ran the bench.
+    if (key.rfind("host.", 0) == 0)
+        return 0;
     // "speedup" anywhere, not just as a suffix: the benches name
     // their headline metrics hw_speedup_mean_16p and the like.
     if (contains("speedup") || endsWith("ticks_per_sec") ||

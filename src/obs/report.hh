@@ -1,27 +1,28 @@
 /**
  * @file
- * Unified run report + cross-run differ: the campaign flight
- * recorder's third stage.
+ * The run report and the cross-run differ: the one schema every run
+ * record is written in, and the one tool that compares two of them.
  *
- * A full evaluation run currently leaves its story scattered over
- * four artifacts: the StatGroup snapshot (BENCH_results.json), the
- * timeline CSV, the stall CostBreakdown, and the critical-path /
- * abort-attribution warn lines. renderReport() fuses them into one
- * deterministic report.json -- same (config, seed, binary) in, byte-
- * identical bytes out, independent of --jobs -- and diff() compares
- * two such reports, classifying every changed key as a regression,
- * an improvement, or a neutral change by a per-key direction rule
- * (stall cycles up = regression, speedup up = improvement, ...).
+ * renderReport() fuses what a run leaves behind -- the telemetry
+ * counters, headline metrics, the StatGroup snapshot, the stall
+ * CostBreakdown, the critical-path and timeline summaries, and the
+ * event counts with the newest abort lines -- into one deterministic
+ * JSON object: same (config, seed, binary) in, byte-identical bytes
+ * out, independent of --jobs. diff() compares two such objects,
+ * classifying every changed key as a regression, an improvement, or
+ * a neutral change by a per-key direction rule (stall cycles up =
+ * regression, speedup up = improvement, ...).
  *
- * The report deliberately contains only *simulation-deterministic*
- * data. Host-side figures (wall time, peak RSS) stay in
- * BENCH_results.json where the perf gate reads them;
- * scripts/compare_runs.py can fold them in as informational rows.
+ * The same render serves two files. `bench --report-out` writes it
+ * bare. Each bench's BENCH_results.json record is the same render
+ * plus a final "host" object (ReportInputs::host) holding what only
+ * the host knows: wall time, rates, peak RSS, artifact costs. Host
+ * keys diff as neutral rows: shown, never classified.
  *
- * Consumers: bench --report-out, examples/report_diff,
- * scripts/compare_runs.py (same schema and direction rules), and the
- * CI bench-smoke step that self-diffs a report (must be empty) and
- * checks `--jobs` byte-identity.
+ * Consumers: bench --out / --report-out, examples/report_diff,
+ * scripts/check_bench_regression.py (reads name, host.* and metrics
+ * of each record), and the CI bench-smoke step that self-diffs a
+ * report (must be empty) and checks `--jobs` byte-identity.
  */
 
 #ifndef SPECRT_OBS_REPORT_HH
@@ -79,6 +80,13 @@ struct ReportInputs
     const critpath::Recorder *critpath = nullptr;
     const timeline::Timeline *timeline = nullptr;
     const EventLog *events = nullptr;
+
+    /**
+     * Host-only figures as one rendered JSON object, appended as the
+     * final "host" key when non-empty (bench records). Left empty for
+     * --report-out, whose bytes must not depend on the host.
+     */
+    std::string host;
 };
 
 /** Render the deterministic report JSON (field order fixed). */
@@ -102,8 +110,9 @@ struct RunReport
 };
 
 /**
- * Parse @p json (any JSON object, not just reports) into @p out.
- * False + @p err on malformed input.
+ * Parse @p json (any JSON object, not just reports) into @p out. A
+ * top-level array (a BENCH_results.json file) yields its last
+ * element. False + @p err on malformed input.
  */
 bool parseReport(const std::string &json, RunReport &out,
                  std::string &err);
@@ -154,7 +163,7 @@ struct DiffResult
 /**
  * Which way is "better" for @p key: -1 lower-better (stall cycles,
  * aborts, failures, mem_*), +1 higher-better (speedup metrics,
- * ticks_per_sec), 0 neutral. compare_runs.py mirrors these rules.
+ * ticks_per_sec), 0 neutral (every host.* figure, and the rest).
  */
 int keyDirection(const std::string &key);
 

@@ -1,38 +1,28 @@
-# Pinned-output check for scripts/compare_runs.py: diff the two
-# committed sample reports and require the Markdown to match
-# compare_expected.md byte for byte, then require --fail-on-regression
-# to exit 1 (the samples contain a seeded regression).
+# Pinned-output check for examples/report_diff: diff the two committed
+# sample reports and require the Markdown to match compare_expected.md
+# byte for byte and the exit status to be 1 (the samples contain a
+# seeded regression).
 #
 # Invoked by ctest (tests/CMakeLists.txt) as:
-#   cmake -DPYTHON3=... -DSCRIPT=... -DDATA=... -P compare_check.cmake
+#   cmake -DREPORT_DIFF=... -DDATA=... -P compare_check.cmake
 
 execute_process(
-    COMMAND ${PYTHON3} ${SCRIPT}
+    COMMAND ${REPORT_DIFF}
             ${DATA}/report_base.json ${DATA}/report_new.json
     OUTPUT_VARIABLE got
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "compare_runs.py exited ${rc}: ${err}")
+if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "report_diff exited ${rc}, expected 1 (the "
+            "sample reports seed a regression): ${err}")
 endif()
 
 file(READ ${DATA}/compare_expected.md want)
 if(NOT got STREQUAL want)
-    message(FATAL_ERROR "compare_runs.py output drifted from "
+    message(FATAL_ERROR "report_diff output drifted from "
             "compare_expected.md.\n--- got ---\n${got}\n--- want ---\n"
             "${want}\nIf the change is intentional, regenerate with:\n"
-            "  python3 scripts/compare_runs.py "
+            "  build/examples/report_diff "
             "tests/data/report_base.json tests/data/report_new.json "
             "> tests/data/compare_expected.md")
-endif()
-
-execute_process(
-    COMMAND ${PYTHON3} ${SCRIPT}
-            ${DATA}/report_base.json ${DATA}/report_new.json
-            --fail-on-regression
-    OUTPUT_QUIET ERROR_QUIET
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 1)
-    message(FATAL_ERROR "--fail-on-regression exited ${rc}, "
-            "expected 1 (the sample reports seed a regression)")
 endif()

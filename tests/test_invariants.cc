@@ -14,8 +14,8 @@
 
 #include "core/loop_exec.hh"
 #include "mem/dsm.hh"
-#include "mem/invariants.hh"
 #include "sim/logging.hh"
+#include "spec/invariants.hh"
 #include "workloads/microloops.hh"
 
 using namespace specrt;

@@ -475,6 +475,14 @@ TEST_F(ObsTest, ReportRendersValidJsonAndRoundTrips)
     EXPECT_EQ(rep.numbers.at("events.counts.abort"), 1.0);
     EXPECT_EQ(rep.numbers.at("events.recorded"), 3.0);
 
+    // A results file (an array of records) parses as its last one.
+    obs::RunReport last;
+    ASSERT_TRUE(obs::parseReport("[{\"name\": \"older\"},\n" + json + "]",
+                                 last, err))
+        << err;
+    EXPECT_EQ(last.numbers, rep.numbers);
+    EXPECT_EQ(last.strings, rep.strings);
+
     // Rendering twice is byte-identical; a self-diff is empty.
     EXPECT_EQ(json, renderReport(sampleInputs(&obs::log())));
     obs::DiffResult d = obs::diff(rep, rep);
@@ -509,6 +517,9 @@ TEST_F(ObsTest, DiffDirectionRules)
     EXPECT_EQ(obs::keyDirection("events.counts.run_begin"), 0);
     EXPECT_EQ(obs::keyDirection("infra_failed_runs"), -1);
     EXPECT_EQ(obs::keyDirection("sim_ticks"), 0);
+    // Host figures are shown, never classified.
+    EXPECT_EQ(obs::keyDirection("host.ticks_per_sec"), 0);
+    EXPECT_EQ(obs::keyDirection("host.mem_peak_rss_kb"), 0);
 
     obs::RunReport a, b;
     a.numbers["metrics.x_speedup"] = 2.0;

@@ -5,9 +5,10 @@
  * stats last-nonempty-wins, cost breakdowns sum), the ScopedTelemetry
  * thread redirect, and the headline determinism contract -- runJobs()
  * aggregation (telemetry AND every merged observability artifact) is
- * byte-identical whatever the worker count -- and the per-artifact
- * render/write cost benchMain() puts in the JSON record, and (in
- * SPECRT_PROFILE builds) the per-context event profile.
+ * byte-identical whatever the worker count -- the record benchMain()
+ * writes (the run report plus a "host" object carrying, among others,
+ * each artifact's render/write cost), and (in SPECRT_PROFILE builds)
+ * the per-context event profile.
  *
  * Links bench_harness, not just specrt; registered with its own rule
  * in tests/CMakeLists.txt.
@@ -26,6 +27,7 @@
 
 #include "core/loop_exec.hh"
 #include "obs/event_log.hh"
+#include "obs/report.hh"
 #include "sim/sim_context.hh"
 #include "telemetry.hh"
 #include "workloads/microloops.hh"
@@ -367,7 +369,7 @@ TEST(TelemetryRunJobs, EventProfileIsPerContextAndFanoutInvariant)
               0u);
 }
 
-// --- the bench record's per-artifact cost ------------------------------
+// --- the bench record -------------------------------------------------
 
 namespace
 {
@@ -385,12 +387,66 @@ abortingHwRun()
     return 0;
 }
 
-} // namespace
-
-TEST(TelemetryRecord, ObsObjectCarriesEachWrittenArtifactsCost)
+/** benchMain() on abortingHwRun with @p flags, in a fresh context. */
+int
+runBench(const char *name, std::vector<std::string> flags)
 {
     SimContext proc;
     ScopedSimContext active(proc);
+    flags.insert(flags.begin(), std::string("bench_") + name);
+    std::vector<char *> argv;
+    for (std::string &a : flags)
+        argv.push_back(a.data());
+    int rc = bench::benchMain(static_cast<int>(argv.size()), argv.data(),
+                              name, abortingHwRun);
+    bench::telemetry() = bench::Telemetry{};
+    return rc;
+}
+
+} // namespace
+
+TEST(TelemetryRecord, RecordIsTheReportPlusHost)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string out = dir + "/specrt_record.json";
+    const std::string report = dir + "/specrt_record_report.json";
+    std::remove(out.c_str());
+    ASSERT_EQ(runBench("record", {"--out", out, "--report-out", report}),
+              0);
+
+    obs::RunReport rec, rep;
+    std::string err;
+    ASSERT_TRUE(obs::loadReport(out, rec, err)) << err;
+    ASSERT_TRUE(obs::loadReport(report, rep, err)) << err;
+    // Outside "host", the record is the report, key for key.
+    size_t hostKeys = 0;
+    for (const auto &[key, v] : rec.numbers) {
+        if (key.rfind("host.", 0) == 0) {
+            ++hostKeys;
+            continue;
+        }
+        ASSERT_TRUE(rep.numbers.count(key)) << key;
+        EXPECT_EQ(rep.numbers.at(key), v) << key;
+    }
+    for (const auto &[key, v] : rec.strings) {
+        ASSERT_TRUE(rep.strings.count(key)) << key;
+        EXPECT_EQ(rep.strings.at(key), v) << key;
+    }
+    EXPECT_EQ(rec.numbers.size() - hostKeys, rep.numbers.size());
+    EXPECT_EQ(rec.strings.size(), rep.strings.size());
+    // The run is really in both, and the host figures are there.
+    EXPECT_GT(rep.numbers.at("sim_ticks"), 0.0);
+    EXPECT_GT(rep.numbers.at("events.counts.abort"), 0.0);
+    EXPECT_EQ(rec.numbers.at("host.exit_code"), 0.0);
+    EXPECT_EQ(rec.numbers.at("host.quick"), 0.0);
+    EXPECT_TRUE(rec.numbers.count("host.wall_ms"));
+    EXPECT_TRUE(rec.numbers.count("host.mem_peak_rss_kb"));
+    std::remove(out.c_str());
+    std::remove(report.c_str());
+}
+
+TEST(TelemetryRecord, ObsObjectCarriesEachWrittenArtifactsCost)
+{
     const std::string dir = ::testing::TempDir();
     const std::string out = dir + "/specrt_obs_cost.json";
     const char *names[] = {"trace", "timeline", "critpath", "events"};
@@ -398,47 +454,31 @@ TEST(TelemetryRecord, ObsObjectCarriesEachWrittenArtifactsCost)
                            "/specrt_obs_cost_timeline.csv",
                            "/specrt_obs_cost_critpath.json",
                            "/specrt_obs_cost_events.jsonl"};
-    std::vector<std::string> args = {"bench_obs_cost", "--out", out};
-    const char *flags[] = {"--trace-out", "--timeline-out",
-                           "--critpath-out", "--events-out"};
+    std::vector<std::string> flags = {"--out", out};
+    const char *artifactFlags[] = {"--trace-out", "--timeline-out",
+                                   "--critpath-out", "--events-out"};
     for (size_t c = 0; c < obs::numArtifacts; ++c) {
-        args.push_back(flags[c]);
-        args.push_back(dir + files[c]);
+        flags.push_back(artifactFlags[c]);
+        flags.push_back(dir + files[c]);
     }
-    std::vector<char *> argv;
-    for (std::string &a : args)
-        argv.push_back(a.data());
     std::remove(out.c_str());
-    ASSERT_EQ(bench::benchMain(static_cast<int>(argv.size()), argv.data(),
-                               "obs_cost", abortingHwRun),
-              0);
-    bench::telemetry() = bench::Telemetry{};
+    ASSERT_EQ(runBench("obs_cost", flags), 0);
 
-    std::ifstream is(out);
-    std::stringstream rec;
-    rec << is.rdbuf();
-    const std::string json = rec.str();
-    ASSERT_NE(json.find("\"obs\": {\"trace\": {"), std::string::npos)
-        << json;
+    obs::RunReport rec;
+    std::string err;
+    ASSERT_TRUE(obs::loadReport(out, rec, err)) << err;
     for (size_t c = 0; c < obs::numArtifacts; ++c) {
-        // "<name>": {"render_ms": R, "write_ms": W, "bytes": B}
-        std::string key = std::string("\"") + names[c] + "\": {";
-        size_t at = json.find(key);
-        ASSERT_NE(at, std::string::npos) << names[c];
-        double renderMs = -1, writeMs = -1;
-        unsigned long long bytes = 0;
-        ASSERT_EQ(std::sscanf(json.c_str() + at + key.size(),
-                              "\"render_ms\": %lf, \"write_ms\": %lf, "
-                              "\"bytes\": %llu}",
-                              &renderMs, &writeMs, &bytes),
-                  3)
-            << names[c];
-        EXPECT_GE(renderMs, 0.0) << names[c];
-        EXPECT_GE(writeMs, 0.0) << names[c];
+        // host.obs.<name>: {"render_ms": R, "write_ms": W, "bytes": B}
+        std::string key = std::string("host.obs.") + names[c] + ".";
+        ASSERT_TRUE(rec.numbers.count(key + "render_ms")) << names[c];
+        ASSERT_TRUE(rec.numbers.count(key + "write_ms")) << names[c];
+        ASSERT_TRUE(rec.numbers.count(key + "bytes")) << names[c];
+        EXPECT_GE(rec.numbers.at(key + "render_ms"), 0.0) << names[c];
+        EXPECT_GE(rec.numbers.at(key + "write_ms"), 0.0) << names[c];
+        double bytes = rec.numbers.at(key + "bytes");
         std::ifstream f(dir + files[c], std::ios::binary | std::ios::ate);
-        EXPECT_EQ(bytes, static_cast<unsigned long long>(f.tellg()))
-            << names[c];
-        EXPECT_GT(bytes, 0u) << names[c];
+        EXPECT_EQ(bytes, static_cast<double>(f.tellg())) << names[c];
+        EXPECT_GT(bytes, 0.0) << names[c];
         std::remove((dir + files[c]).c_str());
     }
     std::remove(out.c_str());

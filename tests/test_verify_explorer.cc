@@ -22,8 +22,8 @@
 #include "core/loop_exec.hh"
 #include "mem/directory.hh"
 #include "mem/dsm.hh"
-#include "mem/invariants.hh"
 #include "sim/sim_context.hh"
+#include "spec/invariants.hh"
 #include "verify/explorer.hh"
 #include "workloads/microloops.hh"
 
